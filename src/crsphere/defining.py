@@ -4,19 +4,24 @@
 complexification of the conjugated coordinates); nothing here ever
 auto-conjugates them.  The variable naming is normative throughout the
 package: a defining function lives in the space ``(z, zb, wb)``, a real
-graphing function in ``(x, y, v)``, a holomorphic map in ``(z, w)``.
+graphing function in ``(x, y, v)``, a holomorphic map in ``(z, w)`` and a
+rigid part in ``(z, zb)``; the tuples below are the one home of each name.
 
 The reality check composes the defining function with its coefficient-
 conjugate; the Levi form is the determinant
 
     delta = Theta_zb * Theta_z,wb - Theta_wb * Theta_z,zb
 
-whose value at the origin decides nondegeneracy.
+whose value at the origin decides nondegeneracy.  It is the bordered
+determinant ``det(a|b)`` of the solution manifold ``y = Theta``, so it
+lives there: each ``ComplexDefining`` builds that manifold once, on first
+use, and ``levi_delta`` reads the determinant from its cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -27,10 +32,12 @@ from .errors import (
 from .rational import GaussRat, ONE
 from .series import TruncSeries
 from .solve import implicit_solve
+from .transfer import SolutionManifold
 
 THETA_VARS = ("z", "zb", "wb")
 GRAPH_VARS = ("x", "y", "v")
 MAP_VARS = ("z", "w")
+XI_VARS = ("z", "zb")
 
 HALF = GaussRat.of("1/2")
 MINUS_I_HALF = GaussRat.of(0, "-1/2")  # 1/(2i)
@@ -58,12 +65,17 @@ class RealGraph:
 
 @dataclass
 class ComplexDefining:
-    """``Theta`` with its validity flags; always of the form ``-wb + O(2)``."""
+    """``Theta`` with its rigidity flag; always of the form ``-wb + O(2)``."""
 
     theta: TruncSeries
-    reality_checked: Optional[int] = None
-    levi_nondegenerate: Optional[bool] = None
     rigid: bool = False
+    # the fourth-order obstruction, kept by ``invariants.aj4`` once computed
+    aj4: Optional[TruncSeries] = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def manifold(self) -> SolutionManifold:
+        """The solution manifold ``y = Theta(z; zb, wb)``, built on first use."""
+        return SolutionManifold(self.theta)
 
     @staticmethod
     def from_theta(theta: TruncSeries) -> "ComplexDefining":
@@ -133,20 +145,13 @@ def verify_reality(d: ComplexDefining, order: Optional[int] = None):
     composed = theta.substitute({"wb": tb})
     residual = composed - TruncSeries.variable("w", ("z", "zb", "w"), composed.order)
     if residual.is_zero():
-        d.reality_checked = residual.order
         return None
     return residual.lowest_term()
 
 
 def levi_delta(d: ComplexDefining):
     """The Levi determinant series and its nondegeneracy at the origin."""
-    theta = d.theta
-    t_zb = theta.derive("zb")
-    t_wb = theta.derive("wb")
-    delta = t_zb * theta.derive("z").derive("wb") - t_wb * theta.derive("z").derive("zb")
-    nondegenerate = not delta.constant_term().is_zero()
-    d.levi_nondegenerate = nondegenerate
-    return delta, nondegenerate
+    return d.manifold.delta(), d.manifold.solvable
 
 
 def detect_rigid(theta: TruncSeries) -> bool:
@@ -164,7 +169,7 @@ def rigid_part(theta: TruncSeries) -> TruncSeries:
         if mono[2] != 0:
             raise ValueError("defining function is not rigid")
         terms[(mono[0], mono[1])] = coeff
-    return TruncSeries(("z", "zb"), terms, theta.order)
+    return TruncSeries(XI_VARS, terms, theta.order)
 
 
 def to_complex_defining(graph: RealGraph, order: int) -> ComplexDefining:
@@ -194,7 +199,6 @@ def to_complex_defining(graph: RealGraph, order: int) -> ComplexDefining:
         raise InternalCheckError(
             f"conversion of a real graph violates the reality condition: {witness}"
         )
-    levi_delta(d)
     return d
 
 
@@ -249,5 +253,4 @@ def transform_defining(d: ComplexDefining, h: Biholo, order: int) -> ComplexDefi
         raise InternalCheckError(
             f"holomorphic image violates the reality condition: {witness}"
         )
-    levi_delta(image)
     return image

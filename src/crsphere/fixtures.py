@@ -12,12 +12,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from .defining import Biholo, ComplexDefining
+from .defining import GRAPH_VARS, MAP_VARS, THETA_VARS, XI_VARS, Biholo, ComplexDefining
 from .parsing import parse_series
 from .rational import GaussRat
 from .series import TruncSeries
-
-THETA_VARS = ("z", "zb", "wb")
 
 HEISENBERG = "-wb + z*zb"
 
@@ -58,7 +56,7 @@ def corpus_biholos(order: int = 10) -> list:
     maps = []
     for f_txt, g_txt in BIHOLO_EXPRS:
         maps.append(
-            Biholo(parse_series(f_txt, ("z", "w"), order), parse_series(g_txt, ("z", "w"), order))
+            Biholo(parse_series(f_txt, MAP_VARS, order), parse_series(g_txt, MAP_VARS, order))
         )
     return maps
 
@@ -121,7 +119,7 @@ def random_real_graph(rng: random.Random, order: int, max_degree: int = 4) -> Tr
     """A random real polynomial ``phi(x, y, v)`` with ``phi`` and ``d phi``
     vanishing at the origin."""
     return random_series(
-        rng, ("x", "y", "v"), max_degree, order, keep=0.35, with_imag=False, min_degree=2
+        rng, GRAPH_VARS, max_degree, order, keep=0.35, with_imag=False, min_degree=2
     )
 
 
@@ -139,4 +137,4 @@ def random_hermitian_xi(rng: random.Random, order: int, max_degree: int = 5) -> 
             c = random_gauss(rng, with_imag=p != q)
             terms[(p, q)] = c
             terms[(q, p)] = c.conj()
-    return TruncSeries(("z", "zb"), terms, order)
+    return TruncSeries(XI_VARS, terms, order)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .defining import ComplexDefining, levi_delta, verify_reality
+from .defining import XI_VARS, ComplexDefining, levi_delta, verify_reality
 from .errors import CrsError, DegenerateError, InternalCheckError, RealityError
 from .rational import GaussRat
 from .report import (
@@ -91,6 +91,8 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
 
     Numerator over ``delta^3`` with ``delta = t_zb t_zwb - t_wb t_zzb``;
     five groups keyed by the fourth- and third-order ``t_zz..`` jets.
+    They are written out here, not read from the solution manifold, so the
+    ``aj4`` cross-check compares two independent transcriptions.
     """
     t = theta
     t_z = t.derive("z")
@@ -109,12 +111,11 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     t_zwbwb = t_zwb.derive("wb")
     two = GaussRat.of(2)
 
-    delta = t_zb * t_zwb - t_wb * t_zzb
-    d_main = _det2(t_zb, t_wb, t_zzb, t_zwb)
+    delta = _det2(t_zb, t_wb, t_zzb, t_zwb)
     num = (
-        t_zzzb.derive("zb") * (t_wb * t_wb * d_main)
-        - two * (t_zzzb.derive("wb") * (t_zb * t_wb * d_main))
-        + t_zzwb.derive("wb") * (t_zb * t_zb * d_main)
+        t_zzzb.derive("zb") * (t_wb * t_wb * delta)
+        - two * (t_zzzb.derive("wb") * (t_zb * t_wb * delta))
+        + t_zzwb.derive("wb") * (t_zb * t_zb * delta)
         + t_zzzb
         * (
             t_zb * t_zb * _det2(t_wb, t_wbwb, t_zwb, t_zwbwb)
@@ -131,10 +132,6 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     return num.div(delta.pow(3))
 
 
-def _theta_manifold(d: ComplexDefining) -> SolutionManifold:
-    return SolutionManifold(d.theta)
-
-
 def _require_levi(d: ComplexDefining) -> None:
     _, nondegenerate = levi_delta(d)
     if not nondegenerate:
@@ -142,22 +139,22 @@ def _require_levi(d: ComplexDefining) -> None:
 
 
 def aj4(d: ComplexDefining) -> TruncSeries:
-    """The fourth-order obstruction, computed along both routes and compared."""
-    _require_levi(d)
-    direct = _aj4_direct(d.theta)
-    m = _theta_manifold(d)
-    t_zz = d.theta.derive("z").derive("z")
-    transferred = second_jet_transfer(m, t_zz)[0]
-    order = min(direct.order, transferred.order)
-    if not (direct.truncate(order) - transferred.truncate(order)).is_zero():
-        raise InternalCheckError("the two fourth-order formulas disagree")
-    return direct.truncate(order)
+    """The fourth-order obstruction, computed along both routes, compared and kept on ``d``."""
+    if d.aj4 is None:
+        _require_levi(d)
+        direct = _aj4_direct(d.theta)
+        t_zz = d.theta.derive("z").derive("z")
+        diff = direct - second_jet_transfer(d.manifold, t_zz)[0]
+        if not diff.is_zero():
+            raise InternalCheckError("the two fourth-order formulas disagree")
+        d.aj4 = direct.truncate(diff.order)
+    return d.aj4
 
 
 def aj6(d: ComplexDefining) -> TruncSeries:
     """The denominator-cleared sixth-order obstruction ``delta^7 L^2[aj4]``."""
     _require_levi(d)
-    m = _theta_manifold(d)
+    m = d.manifold
     fourth = aj4(d)
     second = apply_dyx(m, apply_dyx(m, fourth))
     return m.delta().pow(7) * second
@@ -178,9 +175,9 @@ def rigid_invariant(xi: TruncSeries) -> TruncSeries:
 
     where the suffix letters count ``z`` then ``zb`` derivatives.
     """
-    if xi.vars != ("z", "zb"):
-        raise CrsError(f"rigid part must use variables ('z', 'zb'), got {xi.vars}")
-    if not xi.conjugate({"z": "zb", "zb": "z"}).reorder(("z", "zb")) == xi:
+    if xi.vars != XI_VARS:
+        raise CrsError(f"rigid part must use variables {XI_VARS}, got {xi.vars}")
+    if not xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS) == xi:
         raise RealityError("rigid part is not Hermitian symmetric")
 
     def dz(s, n):
@@ -265,8 +262,10 @@ def sphericality_verdict(
         if with_timings:
             timings[stage] = int((time.perf_counter() - start) * 1000)
 
-    theta = d.theta.truncate(order)
-    work = ComplexDefining.from_theta(theta)
+    # without truncation the caller's ``d`` is reused, keeping what is computed here
+    work = d
+    if d.theta.order > order:
+        work = ComplexDefining.from_theta(d.theta.truncate(order))
 
     start = time.perf_counter()
     witness = verify_reality(work)
@@ -275,7 +274,7 @@ def sphericality_verdict(
         mono, coeff = witness
         return Report(
             verdict=VERDICT_REALITY_VIOLATED,
-            tested_order=theta.order,
+            tested_order=work.theta.order,
             witness_monomial=mono,
             witness_coefficient=coeff,
             delta_at_origin=None,
@@ -289,7 +288,7 @@ def sphericality_verdict(
     if not nondegenerate:
         return Report(
             verdict=VERDICT_LEVI_DEGENERATE,
-            tested_order=theta.order,
+            tested_order=work.theta.order,
             delta_at_origin=delta0,
             timings=timings,
         )

@@ -12,7 +12,8 @@ driven by the bordered two-by-two determinants
 
 whose ``(a|b)`` instance is the master denominator ``delta``.  One helper
 evaluates every determinant species, which keeps the roughly twenty
-species appearing below on a single code path.
+species appearing below on a single code path; each species is evaluated
+once per manifold and kept beside the cached derivatives of ``Q``.
 
 The fully expanded third-order transfer is stored as a static term table
 (``THIRD_JET_TABLE``) so it can be audited entry by entry; its one
@@ -58,8 +59,11 @@ class SolutionManifold:
         return self._cache[key]
 
     def det(self, u: str, v: str) -> TruncSeries:
-        """The bordered determinant ``Q_u Q_xv - Q_v Q_xu``."""
-        return self.d(u) * self.d("x" + v) - self.d(v) * self.d("x" + u)
+        """The bordered determinant ``Q_u Q_xv - Q_v Q_xu``, evaluated once."""
+        key = u + "|" + v
+        if key not in self._cache:
+            self._cache[key] = self.d(u) * self.d("x" + v) - self.d(v) * self.d("x" + u)
+        return self._cache[key]
 
     def delta(self) -> TruncSeries:
         return self.det("a", "b")
@@ -182,11 +186,9 @@ def apply_dy(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
 def apply_dx(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
     """Transfer of ``d/dx``: plain ``T_x`` plus the ``A_x``/``B_x`` drift."""
     _check_t(m, t)
-    delta = m.require_unit_delta()
+    ops = first_jet_transfer(m)
     xv, av, bv = m.q.vars
-    ax = (m.d("b") * m.d("xx") - m.d("x") * m.d("xb")).div(delta)
-    bx = (m.d("x") * m.d("xa") - m.d("a") * m.d("xx")).div(delta)
-    return t.derive(xv) + ax * t.derive(av) + bx * t.derive(bv)
+    return t.derive(xv) + ops.a_x * t.derive(av) + ops.b_x * t.derive(bv)
 
 
 def total_deriv_check(m: SolutionManifold, t: TruncSeries):
@@ -197,15 +199,7 @@ def total_deriv_check(m: SolutionManifold, t: TruncSeries):
     _check_t(m, t)
     xv = m.q.vars[0]
     lhs = apply_dx(m, t) + m.d("x") * apply_dy(m, t) + m.d("xx") * apply_dyx(m, t)
-    diff = lhs - t.derive(xv).truncate(lhs.order)
-    if diff.is_zero():
-        return None
-    return diff.lowest_term()
-
-
-def _common_zero(f: TruncSeries, g: TruncSeries) -> bool:
-    order = min(f.order, g.order)
-    return (f.truncate(order) - g.truncate(order)).is_zero()
+    return (lhs - t.derive(xv)).lowest_term()
 
 
 def second_jet_transfer(m: SolutionManifold, t: TruncSeries):
@@ -274,7 +268,7 @@ def second_jet_transfer(m: SolutionManifold, t: TruncSeries):
         (gyy, apply_dy(m, apply_dy(m, t)), "G_yy"),
     )
     for closed_form, operator_form, name in pairs:
-        if not _common_zero(closed_form, operator_form):
+        if not (closed_form - operator_form).is_zero():
             raise InternalCheckError(
                 f"closed formula and operator path disagree for {name}"
             )
@@ -442,12 +436,7 @@ def third_jet_check(m: SolutionManifold, t: TruncSeries):
     delta = m.require_unit_delta()
     gyxyx = second_jet_transfer(m, t)[0]
     operator_path = delta.pow(5) * apply_dyx(m, gyxyx)
-    table_path = third_jet_expanded(m, t)
-    order = min(operator_path.order, table_path.order)
-    diff = table_path.truncate(order) - operator_path.truncate(order)
-    if diff.is_zero():
-        return None
-    return diff.lowest_term()
+    return (third_jet_expanded(m, t) - operator_path).lowest_term()
 
 
 def dual_manifold(m: SolutionManifold, order: int) -> SolutionManifold:

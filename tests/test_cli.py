@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import crsphere.invariants as inv
 import crsphere.transfer as tr
 from crsphere.cli import main
 
@@ -165,10 +166,14 @@ def test_dual_payload(capsys):
     assert out["koppisch"]["i1_vanishes"] is True
 
 
-def test_invariants_payload(capsys):
+def test_invariants_payload(capsys, monkeypatch):
+    direct_calls = []
+    direct = inv._aj4_direct
+    monkeypatch.setattr(inv, "_aj4_direct", lambda theta: direct_calls.append(1) or direct(theta))
     code = main(["invariants", "--theta", "-wb + z*zb + z^2*zb^2", "--order", "10"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
+    assert len(direct_calls) == 1  # the payload reuses the verdict's aj4
     assert out["verdict"] == "non-spherical"
     assert out["aj4_vanishes"] is False and out["aj6_vanishes"] is False
     assert out["witness_monomial"] == [2, 0, 0]

@@ -22,6 +22,7 @@ from crsphere.fixtures import random_hermitian_xi, random_real_graph
 from crsphere.parsing import parse_series, render_series
 from crsphere.rational import GaussRat
 from crsphere.series import TruncSeries
+from crsphere.transfer import SolutionManifold
 
 from conftest import common_eq
 
@@ -57,7 +58,6 @@ def test_convert_v_dependent_graph():
     phi = parse_series("x^2 + y^2 + v*x^2 + v*y^2", ("x", "y", "v"), 8)
     d = to_complex_defining(RealGraph(phi), 8)
     assert not d.rigid
-    assert d.reality_checked == 8
     # defining identity round trip is re-checked through the reality pass
     assert verify_reality(d) is None
 
@@ -132,6 +132,21 @@ def test_levi_delta_rigid_is_xi_mixed_derivative():
     assert common_eq(delta, xi.derive("z").derive("zb").extend(THETA_VARS))
 
 
+def test_levi_delta_is_the_manifold_determinant():
+    """``levi_delta`` reads ``det(a|b)`` of the solution manifold ``y = Theta``:
+    equal to a freshly built manifold's, known order included."""
+    heis = defining("-wb + z*zb")
+    image = transform_defining(heis, biholo("z + z*w", "w + w^2"), 10)
+    dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), 8)
+    dense = to_complex_defining(RealGraph(dense_phi), 8)
+    assert not dense.rigid
+    for d in (heis, image, dense):
+        delta, _ = levi_delta(d)
+        fresh = SolutionManifold(d.theta).delta()
+        assert delta == fresh and delta.order == fresh.order
+        assert delta is d.manifold.delta()
+
+
 def test_detect_rigid():
     assert detect_rigid(parse_series("-wb + z*zb", THETA_VARS, 10))
     assert not detect_rigid(parse_series("-wb + z*zb + z*zb*wb", THETA_VARS, 10))
@@ -151,7 +166,6 @@ def test_w_shift_transform_is_nonrigid_and_real():
     d = defining("-wb + z*zb")
     image = transform_defining(d, biholo("z", "w + w^2"), 10)
     assert not image.rigid
-    assert image.reality_checked == 10
     _, nondegenerate = levi_delta(image)
     assert nondegenerate
 

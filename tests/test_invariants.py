@@ -245,6 +245,17 @@ def test_verdict_heisenberg():
     assert report.delta_at_origin == GaussRat.of(1)
 
 
+def test_verdict_builds_one_solution_manifold(monkeypatch):
+    built = []
+    post_init = SolutionManifold.__post_init__
+    monkeypatch.setattr(
+        SolutionManifold, "__post_init__", lambda m: built.append(m) or post_init(m)
+    )
+    report = sphericality_verdict(defining("-wb + z*zb + z^2*zb^2"), 10)
+    assert report.verdict == "non-spherical"
+    assert len(built) == 1
+
+
 def test_verdict_flat():
     report = sphericality_verdict(defining("-wb", 8), 8)
     assert report.verdict == "levi-degenerate"

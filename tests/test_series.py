@@ -177,6 +177,16 @@ def test_ring_laws(f, g, h):
 
 @settings(max_examples=200, deadline=None)
 @given(series3(), series3())
+def test_difference_is_known_to_common_order(f, g):
+    """``f - g`` is known to ``min(Kf, Kg)``, so no caller has to truncate
+    both operands before comparing them."""
+    k = min(f.order, g.order)
+    assert f - g == f.truncate(k) - g.truncate(k)
+    assert (f - g).order == k
+
+
+@settings(max_examples=200, deadline=None)
+@given(series3(), series3())
 def test_leibniz_rule(f, g):
     for var in VARS3:
         lhs = (f * g).derive(var)

@@ -284,6 +284,21 @@ def test_repeated_column_determinants_vanish():
         assert m.det(u, v).is_zero()
 
 
+def test_each_determinant_species_is_evaluated_once(monkeypatch):
+    q, _ = section5_pair(202, 6)
+    m = SolutionManifold(q)
+    species = sorted({pair for entry in tr.THIRD_JET_TABLE for pair in entry[3:]})
+    products = []
+    mul = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: products.append(1) or mul(f, g))
+    first = [m.det(u, v) for u, v in species]
+    assert len(products) == 2 * len(species)
+    for _ in range(3):
+        assert all(m.det(u, v) is det for (u, v), det in zip(species, first))
+    assert m.delta() is first[species.index(("a", "b"))]
+    assert len(products) == 2 * len(species)
+
+
 # -- duality ------------------------------------------------------------------
 
 
