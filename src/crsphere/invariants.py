@@ -5,7 +5,7 @@ cross-checked:
 
 * the fourth-order closed formula ``aj4`` written directly in partial
   derivatives of the defining function, against the transferred
-  second-jet formula;
+  ``d/d(y_x)`` operator applied twice to ``Theta_zz``;
 * the sixth-order series ``aj6`` (the denominator-cleared double
   application of the transferred ``d/d(w_z)`` operator to ``aj4``),
   against the transferred fourth ``y_x``-derivative of the eliminated
@@ -39,7 +39,6 @@ from .transfer import (
     apply_dyx,
     associated_ode,
     dual_manifold,
-    second_jet_transfer,
 )
 
 
@@ -89,8 +88,9 @@ def _det2(a: TruncSeries, b: TruncSeries, c: TruncSeries, d: TruncSeries) -> Tru
 def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     """The fourth-order closed formula, transcribed in Theta-partials.
 
-    Numerator over ``delta^3`` with ``delta = t_zb t_zwb - t_wb t_zzb``;
-    five groups keyed by the fourth- and third-order ``t_zz..`` jets.
+    Numerator over ``delta^3`` with ``delta = t_zb t_zwb - t_wb t_zzb``:
+    ``delta`` times the fourth-order ``t_zz..`` jets, plus two groups keyed
+    by the third-order ones; the squares of ``t_zb``, ``t_wb`` are shared.
     They are written out here, not read from the solution manifold, so the
     ``aj4`` cross-check compares two independent transcriptions.
     """
@@ -111,22 +111,29 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     t_zwbwb = t_zwb.derive("wb")
     two = GaussRat.of(2)
 
+    zb2 = t_zb * t_zb
+    wb2 = t_wb * t_wb
+    zbwb2 = two * (t_zb * t_wb)
+
     delta = _det2(t_zb, t_wb, t_zzb, t_zwb)
     num = (
-        t_zzzb.derive("zb") * (t_wb * t_wb * delta)
-        - two * (t_zzzb.derive("wb") * (t_zb * t_wb * delta))
-        + t_zzwb.derive("wb") * (t_zb * t_zb * delta)
+        delta
+        * (
+            t_zzzb.derive("zb") * wb2
+            - t_zzzb.derive("wb") * zbwb2
+            + t_zzwb.derive("wb") * zb2
+        )
         + t_zzzb
         * (
-            t_zb * t_zb * _det2(t_wb, t_wbwb, t_zwb, t_zwbwb)
-            - two * (t_zb * t_wb * _det2(t_wb, t_zbwb, t_zwb, t_zzbwb))
-            + t_wb * t_wb * _det2(t_wb, t_zbzb, t_zwb, t_zzbzb)
+            zb2 * _det2(t_wb, t_wbwb, t_zwb, t_zwbwb)
+            - zbwb2 * _det2(t_wb, t_zbwb, t_zwb, t_zzbwb)
+            + wb2 * _det2(t_wb, t_zbzb, t_zwb, t_zzbzb)
         )
         + t_zzwb
         * (
-            -(t_zb * t_zb * _det2(t_zb, t_wbwb, t_zzb, t_zwbwb))
-            + two * (t_zb * t_wb * _det2(t_zb, t_zbwb, t_zzb, t_zzbwb))
-            - t_wb * t_wb * _det2(t_zb, t_zbzb, t_zzb, t_zzbzb)
+            -(zb2 * _det2(t_zb, t_wbwb, t_zzb, t_zwbwb))
+            + zbwb2 * _det2(t_zb, t_zbwb, t_zzb, t_zzbwb)
+            - wb2 * _det2(t_zb, t_zbzb, t_zzb, t_zzbzb)
         )
     )
     return num.div(delta.pow(3))
@@ -139,12 +146,17 @@ def _require_levi(d: ComplexDefining) -> None:
 
 
 def aj4(d: ComplexDefining) -> TruncSeries:
-    """The fourth-order obstruction, computed along both routes, compared and kept on ``d``."""
+    """The fourth-order obstruction, kept on ``d``.
+
+    The closed formula is checked against the ``d/d(y_x)`` operator of
+    ``d.manifold`` applied twice to ``Theta_zz``.
+    """
     if d.aj4 is None:
         _require_levi(d)
+        m = d.manifold
         direct = _aj4_direct(d.theta)
         t_zz = d.theta.derive("z").derive("z")
-        diff = direct - second_jet_transfer(d.manifold, t_zz)[0]
+        diff = direct - apply_dyx(m, apply_dyx(m, t_zz))
         if not diff.is_zero():
             raise InternalCheckError("the two fourth-order formulas disagree")
         d.aj4 = direct.truncate(diff.order)

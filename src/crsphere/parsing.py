@@ -26,13 +26,14 @@ from .rational import GaussRat
 from .series import TruncSeries
 
 MAX_EXPONENT = 9999
+MAX_DEPTH = 100  # parenthesis nesting; keeps parse and evaluation off the recursion limit
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])")
 
 
 # -- AST ---------------------------------------------------------------------
-# One node kind per grammar construct; 'paren' is kept so the tree mirrors
-# the source text.
+# Sums and products are flat, so a long chain of terms or factors costs no
+# recursion depth; only parentheses nest, and their depth is bounded.
 
 @dataclass(frozen=True)
 class Number:
@@ -50,26 +51,13 @@ class Variable:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
+class Sum:
+    terms: tuple  # (negated, node) pairs, folded left to right
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
+class Product:
+    factors: tuple  # folded left to right
 
 
 @dataclass(frozen=True)
@@ -78,12 +66,7 @@ class Pow:
     exponent: int
 
 
-@dataclass(frozen=True)
-class Paren:
-    child: "Node"
-
-
-Node = Union[Number, ImaginaryUnit, Variable, Add, Sub, Neg, Mul, Pow, Paren]
+Node = Union[Number, ImaginaryUnit, Variable, Sum, Product, Pow]
 
 
 class _Tokens:
@@ -106,6 +89,7 @@ class _Tokens:
                 self.items.append(("op", m.group(3), pos))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         if self.i < len(self.items):
@@ -130,30 +114,32 @@ def parse_expr(text: str) -> Node:
 
 def _expr(toks: _Tokens) -> Node:
     kind, value, _ = toks.peek()
-    if kind == "op" and value == "-":
+    negated = kind == "op" and value == "-"
+    if negated:
         toks.next()
-        node: Node = Neg(_term(toks))
-    else:
-        node = _term(toks)
+    terms = [(negated, _term(toks))]
     while True:
         kind, value, _ = toks.peek()
         if kind == "op" and value in "+-":
             toks.next()
-            rhs = _term(toks)
-            node = Add(node, rhs) if value == "+" else Sub(node, rhs)
+            terms.append((value == "-", _term(toks)))
+        elif len(terms) == 1 and not negated:
+            return terms[0][1]
         else:
-            return node
+            return Sum(tuple(terms))
 
 
 def _term(toks: _Tokens) -> Node:
-    node = _factor(toks)
+    factors = [_factor(toks)]
     while True:
         kind, value, _ = toks.peek()
         if kind == "op" and value == "*":
             toks.next()
-            node = Mul(node, _factor(toks))
+            factors.append(_factor(toks))
+        elif len(factors) == 1:
+            return factors[0]
         else:
-            return node
+            return Product(tuple(factors))
 
 
 def _factor(toks: _Tokens) -> Node:
@@ -188,11 +174,15 @@ def _base(toks: _Tokens) -> Node:
             return ImaginaryUnit()
         return Variable(value)
     if kind == "op" and value == "(":
+        toks.depth += 1
+        if toks.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
         node = _expr(toks)
         kind2, value2, pos2 = toks.next()
         if not (kind2 == "op" and value2 == ")"):
             raise ExprSyntaxError("expected ')'", pos2)
-        return Paren(node)
+        toks.depth -= 1
+        return node
     raise ExprSyntaxError("expected a number, variable, 'i' or '('", pos)
 
 
@@ -209,18 +199,20 @@ def eval_ast(node: Node, vars: Sequence[str], order: int) -> TruncSeries:
         if node.name not in vars:
             raise ExprSyntaxError(f"undeclared variable {node.name!r}", 0)
         return TruncSeries.variable(node.name, vars, order)
-    if isinstance(node, Add):
-        return eval_ast(node.left, vars, order) + eval_ast(node.right, vars, order)
-    if isinstance(node, Sub):
-        return eval_ast(node.left, vars, order) - eval_ast(node.right, vars, order)
-    if isinstance(node, Neg):
-        return -eval_ast(node.child, vars, order)
-    if isinstance(node, Mul):
-        return eval_ast(node.left, vars, order) * eval_ast(node.right, vars, order)
+    if isinstance(node, Sum):
+        total = None
+        for negated, child in node.terms:
+            value = eval_ast(child, vars, order)
+            value = -value if negated else value
+            total = value if total is None else total + value
+        return total
+    if isinstance(node, Product):
+        result = eval_ast(node.factors[0], vars, order)
+        for child in node.factors[1:]:
+            result = result * eval_ast(child, vars, order)
+        return result
     if isinstance(node, Pow):
         return eval_ast(node.base, vars, order).pow(node.exponent)
-    if isinstance(node, Paren):
-        return eval_ast(node.child, vars, order)
     raise TypeError(f"unknown AST node {node!r}")
 
 

@@ -179,12 +179,21 @@ class TruncSeries:
         return NotImplemented
 
     def pow(self, n: int) -> TruncSeries:
+        """``self^n`` by repeated squaring; same terms and known order as
+        ``n`` successive multiplications."""
         if n < 0:
             raise ValueError("negative power of a series")
-        result = TruncSeries.one(self.vars, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
+        if n == 0:
+            return TruncSeries.one(self.vars, self.order)
+        result = None
+        square = self
+        while True:
+            if n & 1:
+                result = square if result is None else result * square
+            n >>= 1
+            if not n:
+                return result
+            square = square * square
 
     def truncate(self, n: int) -> TruncSeries:
         """Forget everything at total degree >= n (never raises the order)."""

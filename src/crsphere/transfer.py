@@ -207,7 +207,9 @@ def second_jet_transfer(m: SolutionManifold, t: TruncSeries):
 
     Each is computed from its closed determinant formula and re-derived by
     composing the first-order operators; disagreement means a transcription
-    bug, so it raises ``InternalCheckError``.
+    bug, so it raises ``InternalCheckError``.  This is the checked
+    closed-form lemma, run by ``third_jet_check``, ``self-test`` and the
+    tests; the verdict does not use it.
     """
     _check_t(m, t)
     delta = m.require_unit_delta()

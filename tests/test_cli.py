@@ -8,6 +8,7 @@ import sys
 import crsphere.invariants as inv
 import crsphere.transfer as tr
 from crsphere.cli import main
+from crsphere.series import TruncSeries
 
 FIXED_KEYS = [
     "verdict",
@@ -68,6 +69,13 @@ def test_parse_error_exit_one(capsys):
     assert "position" in out["message"]
 
 
+def test_deep_nesting_is_one_error_report():
+    proc = run_cli(["check", "--theta=" + "(" * 3000 + "z" + ")" * 3000, "--order", "7"])
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["verdict"] == "error"  # exactly one document
+    assert "Traceback" not in proc.stderr
+
+
 def test_order_too_small_exit_one(capsys):
     code = main(["check", "--theta", "-wb + z*zb", "--order", "5"])
     assert code == 1
@@ -86,6 +94,17 @@ def test_internal_check_failure_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(tr, "THIRD_JET_TABLE", flipped)
     code = main(["self-test"])
     out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["verdict"] == "error"
+
+
+def test_aj4_disagreement_exit_two(capsys, monkeypatch):
+    direct = inv._aj4_direct
+    monkeypatch.setattr(
+        inv, "_aj4_direct", lambda theta: direct(theta) + TruncSeries.one(theta.vars, theta.order)
+    )
+    code = main(["check", "--theta", "-wb + z*zb", "--order", "8"])
+    out = json.loads(capsys.readouterr().out)  # exactly one document
     assert code == 2
     assert out["verdict"] == "error"
 

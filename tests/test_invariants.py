@@ -1,12 +1,24 @@
 """Tresse invariants, the fourth- and sixth-order obstructions, the rigid
 formula, duality cross-checks and the verdict pipeline."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crsphere.defining import Biholo, ComplexDefining, THETA_VARS, transform_defining
-from crsphere.errors import DegenerateError, RealityError
+import crsphere.invariants as inv
+import crsphere.transfer as tr
+from crsphere.defining import (
+    Biholo,
+    ComplexDefining,
+    RealGraph,
+    THETA_VARS,
+    to_complex_defining,
+    transform_defining,
+)
+from crsphere.errors import DegenerateError, InternalCheckError, RealityError
 from crsphere.fixtures import XI_NONSPHERICAL, corpus_biholos, heisenberg, random_hermitian_xi
 from crsphere.invariants import (
     aj4,
@@ -22,7 +34,7 @@ from crsphere.selftest import pipeline_equivalence, transferred_i1
 from crsphere.series import TruncSeries
 from crsphere.transfer import OdeRhs, SolutionManifold, apply_dyx, dual_manifold
 
-from conftest import common_eq
+from conftest import common_eq, gauss_rats
 
 ODE_VARS = ("x", "y", "yx")
 
@@ -77,6 +89,118 @@ def test_aj4_rigid_specialization():
 def test_aj4_requires_levi_nondegeneracy():
     with pytest.raises(DegenerateError):
         aj4(defining("-wb"))
+
+
+def _aj4_unfactored(theta):
+    """Reference for ``_aj4_direct``: the formula with every product written
+    out and ``delta`` multiplied into each of the three fourth-order terms."""
+    t = theta
+
+    def det2(a, b, c, d):
+        return a * d - b * c
+
+    t_z = t.derive("z")
+    t_zb = t.derive("zb")
+    t_wb = t.derive("wb")
+    t_zzb = t_z.derive("zb")
+    t_zwb = t_z.derive("wb")
+    t_zbzb = t_zb.derive("zb")
+    t_zbwb = t_zb.derive("wb")
+    t_wbwb = t_wb.derive("wb")
+    t_zz = t_z.derive("z")
+    t_zzzb = t_zz.derive("zb")
+    t_zzwb = t_zz.derive("wb")
+    t_zzbzb = t_zzb.derive("zb")
+    t_zzbwb = t_zzb.derive("wb")
+    t_zwbwb = t_zwb.derive("wb")
+    two = GaussRat.of(2)
+
+    delta = det2(t_zb, t_wb, t_zzb, t_zwb)
+    num = (
+        t_zzzb.derive("zb") * (t_wb * t_wb * delta)
+        - two * (t_zzzb.derive("wb") * (t_zb * t_wb * delta))
+        + t_zzwb.derive("wb") * (t_zb * t_zb * delta)
+        + t_zzzb
+        * (
+            t_zb * t_zb * det2(t_wb, t_wbwb, t_zwb, t_zwbwb)
+            - two * (t_zb * t_wb * det2(t_wb, t_zbwb, t_zwb, t_zzbwb))
+            + t_wb * t_wb * det2(t_wb, t_zbzb, t_zwb, t_zzbzb)
+        )
+        + t_zzwb
+        * (
+            -(t_zb * t_zb * det2(t_zb, t_wbwb, t_zzb, t_zwbwb))
+            + two * (t_zb * t_wb * det2(t_zb, t_zbwb, t_zzb, t_zzbwb))
+            - t_wb * t_wb * det2(t_zb, t_zbzb, t_zzb, t_zzbzb)
+        )
+    )
+    return num.div(delta.pow(3))
+
+
+def _image(order):
+    return transform_defining(heisenberg(order), corpus_biholos(order)[0], order)
+
+
+def test_factored_aj4_matches_unfactored_transcription():
+    dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), 12)
+    dense = to_complex_defining(RealGraph(dense_phi), 12)
+    for d in (heisenberg(12), _image(12), dense):
+        # ``==`` compares the terms and the known order
+        assert inv._aj4_direct(d.theta) == _aj4_unfactored(d.theta)
+
+
+_MONOS_THETA = [m for m in itertools.product(range(4), repeat=3) if 2 <= sum(m) <= 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gauss_rats.filter(lambda c: not c.is_zero()),
+    st.dictionaries(st.sampled_from(_MONOS_THETA), gauss_rats, max_size=5),
+    st.integers(6, 8),
+)
+def test_factored_aj4_matches_unfactored_on_random_theta(levi, extra, order):
+    # the z*zb coefficient is delta at the origin, so it is kept nonzero
+    terms = {**extra, (0, 0, 1): GaussRat.of(-1), (1, 1, 0): levi}
+    theta = TruncSeries(THETA_VARS, terms, order)
+    assert inv._aj4_direct(theta) == _aj4_unfactored(theta)
+
+
+def test_aj4_cross_check_detects_a_changed_term(monkeypatch):
+    direct = inv._aj4_direct
+    monkeypatch.setattr(
+        inv, "_aj4_direct", lambda theta: direct(theta) + TruncSeries.one(theta.vars, theta.order)
+    )
+    with pytest.raises(InternalCheckError):
+        aj4(_image(10))
+
+
+def test_verdict_does_not_run_the_second_jet_transfer(monkeypatch):
+    calls = []
+    transfer = tr.second_jet_transfer
+
+    def counted(*args):
+        calls.append(1)
+        return transfer(*args)
+
+    monkeypatch.setattr(tr, "second_jet_transfer", counted)
+    monkeypatch.setattr(inv, "second_jet_transfer", counted, raising=False)
+    report = sphericality_verdict(ComplexDefining.from_theta(_image(12).theta), 12)
+    assert report.verdict == "spherical-to-order"
+    assert calls == []
+
+
+# multiplies in one order-12 verdict on ``_image(12)``: 224 while ``aj4`` was
+# cross-checked through the three-species second-jet transfer, 127 since
+VERDICT_MULTIPLIES = 127
+
+
+def test_verdict_multiply_count(monkeypatch):
+    d = ComplexDefining.from_theta(_image(12).theta)
+    calls = []
+    mul = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+    report = sphericality_verdict(d, 12)
+    assert report.verdict == "spherical-to-order"
+    assert len(calls) <= VERDICT_MULTIPLIES
 
 
 def test_transformed_image_may_have_nonzero_aj4_but_zero_aj6():

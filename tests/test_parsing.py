@@ -7,7 +7,7 @@ import pytest
 
 from crsphere.errors import ExprSyntaxError
 from crsphere.fixtures import random_series
-from crsphere.parsing import parse_expr, parse_series, render_series
+from crsphere.parsing import MAX_DEPTH, parse_expr, parse_series, render_series
 from crsphere.rational import GaussRat
 from crsphere.report import Report, render_report
 from crsphere.series import TruncSeries
@@ -57,6 +57,25 @@ def test_undeclared_variable():
 def test_exponent_overflow():
     with pytest.raises(ExprSyntaxError):
         parse_series("z^100000", VARS, 10)
+
+
+def test_nesting_deeper_than_limit_is_a_syntax_error():
+    text = "(" * (MAX_DEPTH + 1) + "z" + ")" * (MAX_DEPTH + 1)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert err.value.pos == MAX_DEPTH
+
+
+def test_nesting_at_limit_parses():
+    text = "(" * MAX_DEPTH + "z + zb" + ")" * MAX_DEPTH + "^2"
+    assert parse_series(text, VARS, 10) == parse_series("z^2 + 2*z*zb + zb^2", VARS, 10)
+
+
+def test_long_chains_need_no_recursion():
+    n = 5000
+    total = parse_series(" + ".join(["z"] * n) + " - zb", VARS, 10)
+    assert total == parse_series(f"{n}*z - zb", VARS, 10)
+    assert parse_series("*".join(["z"] * n), VARS, 10).is_zero()
 
 
 def test_division_only_inside_rationals():

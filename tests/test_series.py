@@ -1,7 +1,10 @@
 """Series-core examples and the randomized algebra-law suites."""
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crsphere.errors import ArityError, CompositionError, NonUnitError
 from crsphere.parsing import parse_series
@@ -48,6 +51,37 @@ def test_scalar_multiplication():
 def test_arity_mismatch_rejected():
     with pytest.raises(ArityError):
         s("z") + parse_series("x", ("x", "y"), 10)
+
+
+def _loop_pow(f, n):
+    """Reference for ``TruncSeries.pow``: ``n`` multiplications, starting from one."""
+    result = TruncSeries.one(f.vars, f.order)
+    for _ in range(n):
+        result = result * f
+    return result
+
+
+_MONOS2 = list(itertools.product(range(6), repeat=2))
+
+
+@st.composite
+def series2(draw):
+    """Two-variable series with known order 0..8 and valuation drawn up to 3."""
+    order = draw(st.integers(0, 8))
+    low = draw(st.integers(0, 3))
+    monos = [m for m in _MONOS2 if sum(m) >= low]
+    terms = draw(st.dictionaries(st.sampled_from(monos), gauss_rats, max_size=5))
+    return TruncSeries(("z", "w"), terms, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series2(), st.integers(0, 9))
+@example(TruncSeries.zero(("z", "w"), 5), 3)
+@example(TruncSeries.constant(GaussRat.of(2), ("z", "w"), 0), 4)
+@example(TruncSeries(("z", "w"), {(1, 0): GaussRat.of(1), (0, 2): GaussRat.of(3)}, 6), 7)
+def test_pow_by_squaring_matches_repeated_multiplication(f, n):
+    # ``==`` compares the terms, the known order and the variables
+    assert f.pow(n) == _loop_pow(f, n)
 
 
 # -- derivation ----------------------------------------------------------------
