@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .invariants import aj4, koppisch_check, rigid_invariant, sphericality_verdi
 from .parsing import parse_series, render_series
 from .report import (
     Report,
+    StageClock,
     VERDICT_ERROR,
     VERDICT_LEVI_DEGENERATE,
     VERDICT_NON_SPHERICAL,
@@ -95,19 +95,6 @@ def _read_job_file(path: str) -> dict:
     return values
 
 
-def _stage_timer(enabled: bool):
-    timings = {}
-
-    def clock(stage, fn):
-        start = time.perf_counter()
-        result = fn()
-        if enabled:
-            timings[stage] = int((time.perf_counter() - start) * 1000)
-        return result
-
-    return timings, clock
-
-
 def _parse_theta(cfg: JobConfig) -> ComplexDefining:
     if cfg.theta is None:
         raise ValueError(f"{cfg.command!r} needs a defining function (--theta)")
@@ -117,13 +104,12 @@ def _parse_theta(cfg: JobConfig) -> ComplexDefining:
 
 def run_job(cfg: JobConfig) -> Report:
     command = cfg.command
-    timings, clock = _stage_timer(cfg.timings)
+    clock = StageClock(cfg.timings)
+    timings = clock.timings
 
     if command == "check":
         d = clock("parse", lambda: _parse_theta(cfg))
-        report = sphericality_verdict(d, cfg.order, with_timings=cfg.timings)
-        report.timings = {**timings, **report.timings}
-        return report
+        return sphericality_verdict(d, cfg.order, clock)
 
     if command == "verify-reality":
         d = clock("parse", lambda: _parse_theta(cfg))
@@ -174,8 +160,7 @@ def run_job(cfg: JobConfig) -> Report:
 
     if command == "invariants":
         d = clock("parse", lambda: _parse_theta(cfg))
-        report = sphericality_verdict(d, cfg.order, with_timings=cfg.timings)
-        report.timings = {**timings, **report.timings}
+        report = sphericality_verdict(d, cfg.order, clock)
         if report.verdict in (VERDICT_SPHERICAL, VERDICT_NON_SPHERICAL):
             report.payload["aj4_vanishes"] = aj4(d).is_zero()
             report.payload["aj6_vanishes"] = report.verdict == VERDICT_SPHERICAL
@@ -314,7 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report to this path (atomically)")
         p.add_argument("--json", action="store_true", help="compact JSON output (default)")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
-        p.add_argument("--timings", action="store_true", help="include stage timings (breaks byte determinism)")
+        p.add_argument(
+            "--timings",
+            action="store_true",
+            help="include stage wall times in integer microseconds (breaks byte determinism)",
+        )
     return parser
 
 

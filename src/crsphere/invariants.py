@@ -19,14 +19,15 @@ order is the sphericality verdict at that order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import Optional
 
 from .defining import XI_VARS, ComplexDefining, levi_delta, verify_reality
 from .errors import CrsError, DegenerateError, InternalCheckError, RealityError
 from .rational import GaussRat
 from .report import (
     Report,
+    StageClock,
     VERDICT_LEVI_DEGENERATE,
     VERDICT_NON_SPHERICAL,
     VERDICT_REALITY_VIOLATED,
@@ -260,28 +261,25 @@ def koppisch_check(m: SolutionManifold, order: int) -> KoppischReport:
 
 
 def sphericality_verdict(
-    d: ComplexDefining, order: int, with_timings: bool = False
+    d: ComplexDefining, order: int, clock: Optional[StageClock] = None
 ) -> Report:
     """Run the verdict pipeline: reality, Levi form, sixth-order obstruction.
 
     Total on its defining-function input: every failure mode becomes a
     verdict, never an exception.  ``tested_order`` reports the order the
-    final series is actually exact to after derivative losses.
+    final series is actually exact to after derivative losses.  The
+    stages are timed by ``clock`` (the report's timings are its map).
     """
-    timings: dict = {}
-
-    def clock(stage, start):
-        if with_timings:
-            timings[stage] = int((time.perf_counter() - start) * 1000)
+    if clock is None:
+        clock = StageClock()
+    timings = clock.timings
 
     # without truncation the caller's ``d`` is reused, keeping what is computed here
     work = d
     if d.theta.order > order:
         work = ComplexDefining.from_theta(d.theta.truncate(order))
 
-    start = time.perf_counter()
-    witness = verify_reality(work)
-    clock("reality", start)
+    witness = clock("reality", lambda: verify_reality(work))
     if witness is not None:
         mono, coeff = witness
         return Report(
@@ -293,10 +291,8 @@ def sphericality_verdict(
             timings=timings,
         )
 
-    start = time.perf_counter()
-    delta, nondegenerate = levi_delta(work)
+    delta, nondegenerate = clock("levi", lambda: levi_delta(work))
     delta0 = delta.constant_term()
-    clock("levi", start)
     if not nondegenerate:
         return Report(
             verdict=VERDICT_LEVI_DEGENERATE,
@@ -305,9 +301,7 @@ def sphericality_verdict(
             timings=timings,
         )
 
-    start = time.perf_counter()
-    obstruction = aj6(work)
-    clock("aj6", start)
+    obstruction = clock("aj6", lambda: aj6(work))
     if obstruction.is_zero():
         return Report(
             verdict=VERDICT_SPHERICAL,

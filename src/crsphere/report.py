@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from time import perf_counter_ns
+from typing import Callable, Optional
 
 from .rational import GaussRat
 
@@ -43,6 +44,25 @@ class Report:
                 raise ValueError(f"verdict {self.verdict!r} requires a witness")
             if self.witness_coefficient.is_zero():
                 raise ValueError("witness coefficient must be nonzero")
+
+
+class StageClock:
+    """Wall time of named stages in integer microseconds, kept only when enabled.
+
+    ``clock(stage, fn)`` runs ``fn()`` and returns its result; ``timings``
+    is the ``Report.timings`` map it fills.
+    """
+
+    def __init__(self, enabled: bool = False):
+        self.enabled = enabled
+        self.timings: dict = {}
+
+    def __call__(self, stage: str, fn: Callable):
+        start = perf_counter_ns()
+        result = fn()
+        if self.enabled:
+            self.timings[stage] = (perf_counter_ns() - start) // 1000
+        return result
 
 
 def render_report(report: Report, pretty: bool = False) -> str:

@@ -17,10 +17,29 @@ where ``val(f)`` is the minimal total degree of a stored term (``K`` for
 the zero series).  Monomials are ordered graded-lexicographically:
 by total degree first, then by the exponent tuple; "lowest term" always
 means minimal in this order, which pins witness selection.
+
+``f * g`` and ``f.div(g)`` run on an integer-numerator kernel.  Each
+operand is brought over one common denominator ``D`` (the lcm of its
+``re``/``im`` denominators), so a term becomes ``(mono, degree, D*re,
+D*im)`` with plain ints and its degree is summed once.  The convolution
+accumulates ``re1*re2 - im1*im2`` and ``re1*im2 + im1*re2`` per output
+monomial with no gcd in the loop, and builds one ``GaussRat`` over
+``Df*Dg`` per nonzero output term.  ``div`` runs the same convolution
+once per degree, of that degree's quotient terms with ``g - c``.  The
+results are exactly those of the pair-by-pair ``GaussRat`` loops, which
+``tests/test_series.py`` keeps as references for hypothesis tests on
+mixed, large and purely imaginary coefficients, cancelling products,
+zero and constant operands, positive valuation and divisors whose
+constant term is not 1.  The kernel's helpers are private: the
+benchmark's tracer wraps every public function of this module, and a
+span per helper call would change the spans it counts.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .errors import ArityError, CompositionError, NonUnitError
@@ -36,6 +55,54 @@ def degree(mono: Mono) -> int:
 def graded_lex_key(mono: Mono) -> tuple:
     """Sort key realizing the graded-lexicographic order."""
     return (sum(mono), mono)
+
+
+def _cleared(terms: Mapping[Mono, GaussRat]) -> tuple:
+    """Clear denominators once: ``(D, [(mono, degree, D*re, D*im), ...])``.
+
+    ``D`` is the lcm of every ``re``/``im`` denominator, so the scaled
+    parts are plain ints; ``D`` is 1 for no terms.
+    """
+    den = lcm(*(q.denominator for c in terms.values() for q in (c.re, c.im)))
+    return den, [
+        (
+            mono,
+            sum(mono),
+            c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator),
+        )
+        for mono, c in terms.items()
+    ]
+
+
+def _convolve(left: list, right: list, order: int) -> dict:
+    """Gaussian-integer product of two cleared term lists below ``order``.
+
+    Returns ``{mono: [re, im]}`` over the product of the two denominators;
+    no gcd is taken inside the loop.
+    """
+    acc: dict = {}
+    for m1, d1, r1, i1 in left:
+        for m2, d2, r2, i2 in right:
+            if d1 + d2 >= order:
+                continue
+            mono = tuple(map(add, m1, m2))
+            slot = acc.get(mono)
+            if slot is None:
+                acc[mono] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+            else:
+                slot[0] += r1 * r2 - i1 * i2
+                slot[1] += r1 * i2 + i1 * r2
+    return acc
+
+
+def _rationalize(acc: dict, den: int) -> dict:
+    """One ``GaussRat`` per nonzero accumulated term of ``_convolve``."""
+    return {
+        mono: GaussRat(Fraction(re, den), Fraction(im, den))
+        for mono, (re, im) in acc.items()
+        if re or im
+    }
 
 
 class TruncSeries:
@@ -65,6 +132,15 @@ class TruncSeries:
         self.order = order
 
     # -- constructors ----------------------------------------------------
+
+    @staticmethod
+    def _valid(vars: tuple, terms: dict, order: int) -> TruncSeries:
+        """Wrap terms that already satisfy the invariants ``__init__`` enforces."""
+        f = object.__new__(TruncSeries)
+        f.vars = vars
+        f.terms = terms
+        f.order = order
+        return f
 
     @staticmethod
     def zero(vars: Iterable[str], order: int) -> TruncSeries:
@@ -163,15 +239,10 @@ class TruncSeries:
             other.order + self.valuation(),
             self.order + other.order,
         )
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            d1 = sum(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + sum(m2) >= order:
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, ZERO) + c1 * c2
-        return TruncSeries(self.vars, terms, order)
+        df, left = _cleared(self.terms)
+        dg, right = _cleared(other.terms)
+        terms = _rationalize(_convolve(left, right, order), df * dg)
+        return TruncSeries._valid(self.vars, terms, order)
 
     def __rmul__(self, other) -> TruncSeries:
         if isinstance(other, GaussRat):
@@ -265,33 +336,26 @@ class TruncSeries:
             raise NonUnitError("divisor has zero constant term")
         order = min(self.order, g.order)
         cinv = c.inv()
-        gplus = {m: v for m, v in g.terms.items() if sum(m) > 0}
-        hterms: dict = {}
-        # acc collects (g - c) * h contributions, filled as h grows
-        acc: dict = {}
-        by_degree: dict = {}
+        dg, gplus = _cleared({m: v for m, v in g.terms.items() if sum(m) > 0})
+        # rest[d]: the degree-d part of f minus every (g - c) * h_e, e < d, found so far
+        rest = [{} for _ in range(order)]
         for mono, coeff in self.terms.items():
             if sum(mono) < order:
-                by_degree.setdefault(sum(mono), {})[mono] = coeff
+                rest[sum(mono)][mono] = coeff
+        hterms: dict = {}
         for d in range(order):
-            cur = dict(by_degree.get(d, {}))
-            for mono, coeff in acc.items():
-                if sum(mono) == d:
-                    cur[mono] = cur.get(mono, ZERO) - coeff
             h_d = {}
-            for mono, coeff in cur.items():
+            for mono, coeff in rest[d].items():
                 val = coeff * cinv
                 if not val.is_zero():
                     h_d[mono] = val
             hterms.update(h_d)
-            for mg, cg in gplus.items():
-                dg = sum(mg)
-                for mh, ch in h_d.items():
-                    if dg + d >= order:
-                        continue
-                    mono = tuple(a + b for a, b in zip(mg, mh))
-                    acc[mono] = acc.get(mono, ZERO) + cg * ch
-        return TruncSeries(self.vars, hterms, order)
+            dh, cleared = _cleared(h_d)
+            product = _rationalize(_convolve(cleared, gplus, order), dh * dg)
+            for mono, coeff in product.items():
+                part = rest[sum(mono)]
+                part[mono] = part.get(mono, ZERO) - coeff
+        return TruncSeries._valid(self.vars, hterms, order)
 
     # -- variable-space plumbing ----------------------------------------------
 

@@ -71,7 +71,10 @@ def implicit_solve(
 
     sols = {u: TruncSeries.zero(knowns, order) for u in unknowns}
     for d in range(1, order):
-        residuals = [eq.substitute({u: sols[u] for u in unknowns}) for eq in eqs]
+        # terms of degree > d map to degree > d: the degree-d part needs eq below d + 1
+        residuals = [
+            eq.truncate(d + 1).substitute({u: sols[u] for u in unknowns}) for eq in eqs
+        ]
         parts = [
             {m: c for m, c in r.terms.items() if sum(m) == d} for r in residuals
         ]

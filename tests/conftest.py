@@ -21,9 +21,3 @@ def series3(min_order=4, max_order=8):
         st.dictionaries(st.sampled_from(_MONOS3), gauss_rats, max_size=6),
         st.integers(min_order, max_order),
     )
-
-
-def common_eq(f: TruncSeries, g: TruncSeries) -> bool:
-    """Structural equality after truncating both to the common known order."""
-    k = min(f.order, g.order)
-    return f.truncate(k) == g.truncate(k)

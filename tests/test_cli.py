@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import crsphere.invariants as inv
 import crsphere.transfer as tr
 from crsphere.cli import main
@@ -146,6 +148,48 @@ def test_byte_identical_reports_across_runs():
     second = run_cli(args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# report bytes from before the integer-numerator kernel; they must not change
+PINNED_REPORTS = {
+    "check": (
+        '{"verdict":"non-spherical","tested_order":3,"witness_monomial":[2,0,0],'
+        '"witness_coefficient":{"re":"960/1","im":"0/1"},'
+        '"delta_at_origin":{"re":"1/1","im":"0/1"},"timings":{}}'
+    ),
+    "invariants": (
+        '{"verdict":"non-spherical","tested_order":3,"witness_monomial":[2,0,0],'
+        '"witness_coefficient":{"re":"960/1","im":"0/1"},'
+        '"delta_at_origin":{"re":"1/1","im":"0/1"},"timings":{},'
+        '"aj4_vanishes":false,"aj6_vanishes":false}'
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_REPORTS))
+def test_report_without_timings_is_pinned(command, capsys):
+    code = main([command, "--theta", "-wb + z*zb + z^2*zb^2", "--order", "9"])
+    assert code == 0
+    assert capsys.readouterr().out.rstrip("\n") == PINNED_REPORTS[command]
+
+
+@pytest.mark.parametrize(
+    "argv, stages",
+    [
+        (["check", "--theta", "-wb + z*zb"], {"parse", "reality", "levi", "aj6"}),
+        (["invariants", "--theta", "-wb + z*zb"], {"parse", "reality", "levi", "aj6"}),
+        (["to-complex", "--phi", "x^2 + y^2"], {"parse", "solve"}),
+        (["derive-ode", "--theta", "-wb + z*zb"], {"parse", "eliminate"}),
+    ],
+)
+def test_timings_are_integer_microseconds(argv, stages, capsys):
+    code = main([*argv, "--order", "8", "--timings"])
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    assert code == 0
+    assert set(timings) == stages
+    assert all(type(t) is int for t in timings.values())
+    # every stage takes well over a microsecond, so none may round to 0
+    assert all(t > 0 for t in timings.values())
 
 
 def test_self_test_passes(capsys):

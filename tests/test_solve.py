@@ -4,11 +4,50 @@ import random
 
 import pytest
 
+import crsphere.transfer as tr
+from crsphere.defining import transform_defining
 from crsphere.errors import NotSolvableError
-from crsphere.fixtures import random_gauss
+from crsphere.fixtures import corpus_biholos, heisenberg, random_gauss
 from crsphere.parsing import parse_series
+from crsphere.rational import ZERO
 from crsphere.series import TruncSeries
-from crsphere.solve import implicit_solve
+from crsphere.solve import _invert_matrix, implicit_solve
+
+
+def _full_residual_solve(eqs, unknowns, order):
+    """Reference for ``implicit_solve``: step ``d`` composes each whole
+    equation at full order and reads the degree-``d`` part of the residual."""
+    space = eqs[0].vars
+    knowns = tuple(v for v in space if v not in unknowns)
+
+    def unit_mono(var):
+        return tuple(1 if v == var else 0 for v in space)
+
+    jac = [[eq.coeff(unit_mono(u)) for u in unknowns] for eq in eqs]
+    jinv = _invert_matrix(jac)
+
+    sols = {u: TruncSeries.zero(knowns, order) for u in unknowns}
+    for d in range(1, order):
+        residuals = [eq.substitute({u: sols[u] for u in unknowns}) for eq in eqs]
+        parts = [
+            {m: c for m, c in r.terms.items() if sum(m) == d} for r in residuals
+        ]
+        if not any(parts):
+            continue
+        monos = set()
+        for p in parts:
+            monos.update(p)
+        for j, u in enumerate(unknowns):
+            delta = {}
+            for mono in monos:
+                val = ZERO
+                for i in range(len(eqs)):
+                    val = val + jinv[j][i] * parts[i].get(mono, ZERO)
+                if not val.is_zero():
+                    delta[mono] = -val
+            if delta:
+                sols[u] = sols[u] + TruncSeries(knowns, delta, order)
+    return sols
 
 
 def test_heisenberg_elimination():
@@ -54,7 +93,8 @@ def test_insufficient_order_rejected():
 
 def test_residual_identity_randomized():
     """200 random two-unknown systems: substituting the solutions back
-    yields the zero series to the requested order."""
+    yields the zero series to the requested order, and the solutions are
+    those of the full-residual reference."""
     space = ("u", "v", "p", "q")
     order = 6
     count = 0
@@ -81,7 +121,19 @@ def test_residual_identity_randomized():
             continue
         count += 1
         sol = implicit_solve([e1, e2], ["p", "q"], order)
+        assert sol == _full_residual_solve([e1, e2], ["p", "q"], order)
         for eq in (e1, e2):
             residual = eq.substitute({"p": sol["p"], "q": sol["q"]})
             assert residual.is_zero()
         assert sol["p"].valuation() >= 1 and sol["q"].valuation() >= 1
+
+
+@pytest.mark.parametrize("image", [False, True])
+def test_solve_parameters_matches_full_residual_reference(image, monkeypatch):
+    d = heisenberg(10)
+    if image:
+        d = transform_defining(d, corpus_biholos(10)[0], 10)
+    got = tr.solve_parameters(d.manifold, 10)
+    monkeypatch.setattr(tr, "implicit_solve", _full_residual_solve)
+    want = tr.solve_parameters(d.manifold, 10)
+    assert got == want
