@@ -46,7 +46,7 @@ from .report import (
     render_report,
 )
 from .selftest import run_self_test
-from .transfer import associated_ode, dual_manifold
+from .transfer import associated_ode
 
 DEFAULT_ORDER = 10
 DEFAULT_ORDER_CAP = 16
@@ -209,7 +209,7 @@ def run_job(cfg: JobConfig) -> Report:
 
     if command == "dual":
         d = clock("parse", lambda: _parse_theta(cfg))
-        dual = clock("dual", lambda: dual_manifold(d.manifold, cfg.order))
+        dual = clock("dual", lambda: d.manifold.dual(cfg.order))
         # for a surface satisfying the reality condition the dual graph is
         # the coefficient-conjugate with the conjugated slot leading
         conj = d.theta.conjugate({"z": "zb", "zb": "z", "wb": "wb"}).rename(

@@ -77,6 +77,11 @@ class ComplexDefining:
         """The solution manifold ``y = Theta(z; zb, wb)``, built on first use."""
         return SolutionManifold(self.theta)
 
+    @cached_property
+    def reality_witness(self) -> Optional[tuple]:
+        """``verify_reality`` at the full known order, checked on first use."""
+        return _reality_witness(self.theta)
+
     @staticmethod
     def from_theta(theta: TruncSeries) -> "ComplexDefining":
         if theta.vars != THETA_VARS:
@@ -137,10 +142,17 @@ def verify_reality(d: ComplexDefining, order: Optional[int] = None):
 
     Returns ``None`` on success, else the lowest graded-lex nonzero term of
     the residual as a ``(monomial, coefficient)`` witness over ``(z, zb, w)``.
+    Without ``order`` the witness is kept on ``d``, so each defining
+    function is composed with its conjugate once.
     The second functional equation of the reality condition is equivalent
     by conjugation and is covered by a property test instead.
     """
-    theta = d.theta if order is None else d.theta.truncate(order)
+    if order is None:
+        return d.reality_witness
+    return _reality_witness(d.theta.truncate(order))
+
+
+def _reality_witness(theta: TruncSeries):
     tb = theta_bar(theta)
     composed = theta.substitute({"wb": tb})
     residual = composed - TruncSeries.variable("w", ("z", "zb", "w"), composed.order)

@@ -39,7 +39,6 @@ from .transfer import (
     SolutionManifold,
     apply_dyx,
     associated_ode,
-    dual_manifold,
 )
 
 
@@ -245,7 +244,7 @@ def koppisch_check(m: SolutionManifold, order: int) -> KoppischReport:
     decided at the common achieved order.
     """
     inv = tresse_invariants(associated_ode(m, order))
-    dual = dual_manifold(m, m.q.order)
+    dual = m.dual(m.q.order)
     dual_inv = tresse_invariants(associated_ode(dual, order))
     k = min(inv.i1.order, inv.i2.order, dual_inv.i1.order, dual_inv.i2.order)
     rep = KoppischReport(

@@ -30,16 +30,34 @@ results are exactly those of the pair-by-pair ``GaussRat`` loops, which
 ``tests/test_series.py`` keeps as references for hypothesis tests on
 mixed, large and purely imaginary coefficients, cancelling products,
 zero and constant operands, positive valuation and divisors whose
-constant term is not 1.  The kernel's helpers are private: the
-benchmark's tracer wraps every public function of this module, and a
-span per helper call would change the spans it counts.
+constant term is not 1.
+
+``f.substitute(images)`` runs on the same kernel.  The terms of ``f`` are
+grouped by the exponents of the substituted variables; the exponents of
+a pass-through variable only move into its slot of the target space.
+Each distinct product of image powers is formed once, as a running
+product over the substituted slots in sorted order (an exponent 0 costs
+nothing), and is dropped once the groups under it are done.  Each group
+is convolved with its product into one accumulator over one common
+denominator, and one ``GaussRat`` is built per nonzero output term.  The
+result is exactly that of the term-by-term loop (a constant times one
+image power per slot, added into the result), which ``tests/test_series.py``
+keeps as the reference for hypothesis tests on pass-through variables,
+target spaces other than the source, images of valuation 2 and more or
+known to a lower order than ``f``, terms at or above the common order,
+cancelling groups, mixed and large denominators and no images at all.
+
+The kernel's helpers are private: the benchmark's tracer wraps every
+public function of this module, and a span per helper call would change
+the spans it counts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
+from itertools import groupby
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .errors import ArityError, CompositionError, NonUnitError
@@ -75,13 +93,15 @@ def _cleared(terms: Mapping[Mono, GaussRat]) -> tuple:
     ]
 
 
-def _convolve(left: list, right: list, order: int) -> dict:
+def _convolve(left: list, right: list, order: int, acc: Optional[dict] = None) -> dict:
     """Gaussian-integer product of two cleared term lists below ``order``.
 
     Returns ``{mono: [re, im]}`` over the product of the two denominators;
-    no gcd is taken inside the loop.
+    no gcd is taken inside the loop.  With ``acc`` the product is added
+    into that accumulator, which is returned.
     """
-    acc: dict = {}
+    if acc is None:
+        acc = {}
     for m1, d1, r1, i1 in left:
         for m2, d2, r2, i2 in right:
             if d1 + d2 >= order:
@@ -292,7 +312,8 @@ class TruncSeries:
 
         Every image must have zero constant term and all images must share
         one target variable space; variables without an image map to the
-        same-named variable of the target space.
+        same-named variable of the target space.  The terms are summed by
+        groups of equal substituted exponents (see the module docstring).
         """
         spaces = {im.vars for im in images.values()}
         if len(spaces) > 1:
@@ -305,28 +326,61 @@ class TruncSeries:
             if not im.constant_term().is_zero():
                 raise CompositionError(f"image for {name!r} has a nonzero constant term")
             order = min(order, im.order)
-        full = []
-        for v in self.vars:
+        subbed = []  # (source slot, denominator, cleared image below the order)
+        shift = []  # (source slot, target slot) of each pass-through variable
+        for i, v in enumerate(self.vars):
             if v in images:
-                full.append(images[v].truncate(order))
+                below = {m: c for m, c in images[v].terms.items() if sum(m) < order}
+                subbed.append((i, *_cleared(below)))
             else:
                 if v not in target:
                     raise ArityError(f"variable {v!r} absent from target space {target}")
-                full.append(TruncSeries.variable(v, target, order))
-        # cache image powers; exponents >= order contribute nothing (val >= 1)
-        pows = [[TruncSeries.one(target, order)] for _ in full]
-        result = TruncSeries.zero(target, order)
-        for mono, coeff in self.terms.items():
-            if sum(mono) >= order:
-                continue
-            term = TruncSeries.constant(coeff, target, order)
-            for slot, e in enumerate(mono):
-                cache = pows[slot]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * full[slot])
-                term = term * cache[e]
-            result = result + term
-        return result
+                shift.append((i, target.index(v)))
+        # group the terms by their substituted exponents; pass-through
+        # exponents move straight into their target slots
+        df, cleared = _cleared({m: c for m, c in self.terms.items() if sum(m) < order})
+        groups: dict = {}
+        for mono, deg, re, im in cleared:
+            out = [0] * len(target)
+            for i, j in shift:
+                out[j] = mono[i]
+            key = tuple(mono[i] for i, _, _ in subbed)
+            groups.setdefault(key, []).append((tuple(out), deg - sum(key), re, im))
+        # one denominator for every group: df times each image's to its top power
+        common = df
+        for k, (_, den, _) in enumerate(subbed):
+            common *= den ** max((key[k] for key in groups), default=0)
+        acc: dict = {}
+
+        def expand(keys: list, level: int, product: list, den: int) -> None:
+            # ``keys`` share their first ``level`` exponents, whose image
+            # powers multiply to ``product`` over ``den``
+            if level == len(subbed):
+                part = groups[keys[0]]
+                scale = common // den
+                if scale != 1:
+                    part = [(m, d, re * scale, im * scale) for m, d, re, im in part]
+                _convolve(part, product, order, acc)
+                return
+            _, image_den, image = subbed[level]
+            power = 0
+            for e, sub in groupby(keys, itemgetter(level)):
+                while power < e:
+                    product = [
+                        (m, sum(m), re, im)
+                        for m, (re, im) in _convolve(product, image, order).items()
+                        if re or im
+                    ]
+                    den *= image_den
+                    power += 1
+                expand(list(sub), level + 1, product, den)
+
+        if groups:
+            expand(sorted(groups), 0, [((0,) * len(target), 0, 1, 0)], df)
+        # the closure refers to itself: break that cycle, so the groups and
+        # image products it holds are freed now, not at the next collection
+        del expand
+        return TruncSeries._valid(target, _rationalize(acc, common), order)
 
     def div(self, g: TruncSeries) -> TruncSeries:
         """Divide by a unit series, degree by degree; exact to min(Kf, Kg)."""

@@ -13,7 +13,8 @@ driven by the bordered two-by-two determinants
 whose ``(a|b)`` instance is the master denominator ``delta``.  One helper
 evaluates every determinant species, which keeps the roughly twenty
 species appearing below on a single code path; each species is evaluated
-once per manifold and kept beside the cached derivatives of ``Q``.
+once per manifold and kept beside the cached derivatives of ``Q``, and so
+is the dual manifold at each order it is asked for.
 
 The fully expanded third-order transfer is stored as a static term table
 (``THIRD_JET_TABLE``) so it can be audited entry by entry; its one
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import ArityError, InternalCheckError, NonUnitError, NotSolvableError
-from .rational import GaussRat
+from .rational import ZERO, GaussRat
 from .series import TruncSeries
 from .solve import implicit_solve
 
@@ -72,6 +73,13 @@ class SolutionManifold:
     def solvable(self) -> bool:
         """Solvable with respect to the parameters at the origin."""
         return not self.delta().constant_term().is_zero()
+
+    def dual(self, order: int) -> "SolutionManifold":
+        """``dual_manifold(self, order)``, built once per effective order."""
+        key = f"dual@{min(order, self.q.order)}"
+        if key not in self._cache:
+            self._cache[key] = dual_manifold(self, order)
+        return self._cache[key]
 
     def require_unit_delta(self) -> TruncSeries:
         delta = self.delta()
@@ -408,25 +416,49 @@ DET_DERIVATIVE_IDENTITIES = (
 REPEATED_COLUMN_SPECIES = (("bb", "bb"), ("ab", "ab"), ("ab", "ab"), ("aa", "aa"))
 
 
+def _sum(parts: list) -> TruncSeries:
+    """The sum of series of one space, accumulated in one dict."""
+    terms: dict = {}
+    for s in parts:
+        for mono, coeff in s.terms.items():
+            terms[mono] = terms.get(mono, ZERO) + coeff
+    return TruncSeries(parts[0].vars, terms, min(s.order for s in parts))
+
+
 def third_jet_expanded(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
-    """Evaluate the static term table for ``delta^5 * G_yxyxyx``."""
+    """Evaluate the static term table for ``delta^5 * G_yxyxyx``.
+
+    The rows are grouped by T word, then by Q factors.  Each determinant
+    pair product and each Q-factor product is formed once; a group sums
+    its weighted determinant products before the Q product multiplies
+    them, and each T word multiplies the sum of its groups once.
+    """
     _check_t(m, t)
     m.require_unit_delta()
     xv, av, bv = m.q.vars
-    tderivs: dict = {}
-    result = None
+    by_word: dict = {}
     for word, coeff, qfactors, det1, det2 in THIRD_JET_TABLE:
-        if word not in tderivs:
-            s = t
-            for ch in word:
-                s = s.derive(av if ch == "a" else bv)
-            tderivs[word] = s
-        term = tderivs[word].scale(GaussRat.of(coeff))
-        for f in qfactors:
-            term = term * m.d(f)
-        term = term * m.det(*det1) * m.det(*det2)
-        result = term if result is None else result + term
-    return result
+        by_word.setdefault(word, {}).setdefault(qfactors, []).append((coeff, det1, det2))
+    dets: dict = {}
+    qprods: dict = {}
+    parts = []
+    for word, groups in by_word.items():
+        inner = []
+        for qfactors, rows in groups.items():
+            weighted = []
+            for coeff, det1, det2 in rows:
+                if (det1, det2) not in dets:
+                    dets[det1, det2] = m.det(*det1) * m.det(*det2)
+                weighted.append(dets[det1, det2].scale(GaussRat.of(coeff)))
+            if qfactors not in qprods:
+                f1, f2, f3 = qfactors
+                qprods[qfactors] = m.d(f1) * m.d(f2) * m.d(f3)
+            inner.append(qprods[qfactors] * _sum(weighted))
+        s = t
+        for ch in word:
+            s = s.derive(av if ch == "a" else bv)
+        parts.append(s * _sum(inner))
+    return _sum(parts)
 
 
 def third_jet_check(m: SolutionManifold, t: TruncSeries):

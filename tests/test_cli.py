@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import crsphere.cli as cli
 import crsphere.invariants as inv
 import crsphere.transfer as tr
 from crsphere.cli import main
@@ -227,6 +228,33 @@ def test_dual_payload(capsys):
     assert code == 0
     assert out["conjugate_equal"] is True
     assert out["koppisch"]["i1_vanishes"] is True
+
+
+# report bytes from before the dual manifold was kept on the manifold
+PINNED_DUAL = (
+    '{"verdict":"ok","tested_order":9,"witness_monomial":null,"witness_coefficient":null,'
+    '"delta_at_origin":null,"timings":{},"dual":"-b + x*a + x^2*a^2","dual_vars":["x","a","b"],'
+    '"conjugate_equal":true,"koppisch":{"i1_vanishes":false,"i2_vanishes":false,'
+    '"dual_i1_vanishes":false,"dual_i2_vanishes":false,"order":3}}'
+)
+
+
+def test_dual_job_builds_the_dual_once(capsys, monkeypatch):
+    calls = []
+    build = tr.dual_manifold
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    # every binding a caller could look `dual_manifold` up at
+    monkeypatch.setattr(tr, "dual_manifold", counted)
+    monkeypatch.setattr(inv, "dual_manifold", counted, raising=False)
+    monkeypatch.setattr(cli, "dual_manifold", counted, raising=False)
+    code = main(["dual", "--theta", "-wb + z*zb + z^2*zb^2", "--order", "9"])
+    assert code == 0
+    assert capsys.readouterr().out.rstrip("\n") == PINNED_DUAL
+    assert len(calls) == 1
 
 
 def test_invariants_payload(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import crsphere.defining as dm
 from crsphere.defining import (
     Biholo,
     ComplexDefining,
@@ -21,6 +22,7 @@ from crsphere.errors import NotSolvableError
 from crsphere.fixtures import random_hermitian_xi, random_real_graph
 from crsphere.parsing import parse_series, render_series
 from crsphere.rational import GaussRat
+from crsphere.selftest import run_self_test
 from crsphere.series import TruncSeries
 from crsphere.transfer import SolutionManifold
 
@@ -84,6 +86,34 @@ def test_reality_violation_witness():
     mono, coeff = witness
     assert mono == (1, 1, 0)
     assert coeff == GaussRat.of(0, 2)
+
+
+def _count_compositions(monkeypatch):
+    """Record the defining function of every ``Theta o Theta_bar`` composition."""
+    composed = []
+    conj = dm.theta_bar
+    monkeypatch.setattr(dm, "theta_bar", lambda theta: composed.append(theta) or conj(theta))
+    return composed
+
+
+def test_reality_witness_is_kept_without_order(monkeypatch):
+    composed = _count_compositions(monkeypatch)
+    d = defining("-wb + i*z*zb")
+    first = verify_reality(d)
+    assert verify_reality(d) == first and len(composed) == 1
+    # an explicit order is never kept
+    assert verify_reality(d, 6) == first and verify_reality(d, 6) == first
+    assert len(composed) == 3
+
+
+def test_self_test_composes_each_fixture_once(monkeypatch):
+    composed = _count_compositions(monkeypatch)
+    run_self_test()
+    fixtures = [(theta.order, tuple(sorted(theta.terms.items()))) for theta in composed]
+    # Heisenberg and the three transformed images: the images are verified
+    # once, inside ``transform_defining``
+    assert len(fixtures) == 4
+    assert len(set(fixtures)) == 4
 
 
 def test_reality_conjugation_symmetry():

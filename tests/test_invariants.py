@@ -189,8 +189,9 @@ def test_verdict_does_not_run_the_second_jet_transfer(monkeypatch):
 
 
 # multiplies in one order-12 verdict on ``_image(12)``: 224 while ``aj4`` was
-# cross-checked through the three-species second-jet transfer, 127 since
-VERDICT_MULTIPLIES = 127
+# cross-checked through the three-species second-jet transfer, 127 after,
+# 46 since ``substitute`` convolves grouped terms without ``__mul__``
+VERDICT_MULTIPLIES = 46
 
 
 def test_verdict_multiply_count(monkeypatch):

@@ -265,6 +265,132 @@ def test_substitution_rejects_space_mismatch():
         f.substitute({"z": parse_series("x", ("x", "y"), 10)})
 
 
+# -- grouped substitution against the term-by-term loop --------------------------
+
+
+def _loop_substitute(f, images):
+    """Reference for ``TruncSeries.substitute``: every term is a constant
+    times one cached image power per slot, added into the result."""
+    spaces = {im.vars for im in images.values()}
+    if len(spaces) > 1:
+        raise ArityError(f"substitution images live in different spaces: {spaces}")
+    target = spaces.pop() if spaces else f.vars
+    order = f.order
+    for name, im in images.items():
+        if name not in f.vars:
+            raise ArityError(f"image given for {name!r}, not a variable of {f.vars}")
+        if not im.constant_term().is_zero():
+            raise CompositionError(f"image for {name!r} has a nonzero constant term")
+        order = min(order, im.order)
+    full = []
+    for v in f.vars:
+        if v in images:
+            full.append(images[v].truncate(order))
+        else:
+            if v not in target:
+                raise ArityError(f"variable {v!r} absent from target space {target}")
+            full.append(TruncSeries.variable(v, target, order))
+    # cache image powers; exponents >= order contribute nothing (val >= 1)
+    pows = [[TruncSeries.one(target, order)] for _ in full]
+    result = TruncSeries.zero(target, order)
+    for mono, coeff in f.terms.items():
+        if sum(mono) >= order:
+            continue
+        term = TruncSeries.constant(coeff, target, order)
+        for slot, e in enumerate(mono):
+            cache = pows[slot]
+            while len(cache) <= e:
+                cache.append(cache[-1] * full[slot])
+            term = term * cache[e]
+        result = result + term
+    return result
+
+
+# target spaces by substituted variables of a ``("z", "w")`` series: the
+# source itself, a larger space with the pass-through variable in another
+# slot, and, once both are substituted, a space with no source variable
+_TARGETS = {
+    (): [("z", "w")],
+    ("z",): [("z", "w"), ("w", "t", "z")],
+    ("w",): [("z", "w"), ("w", "t", "z")],
+    ("z", "w"): [("z", "w"), ("w", "t", "z"), ("s", "t")],
+}
+
+
+@st.composite
+def images_in(draw, target, coeffs=kernel_rats):
+    """An image over ``target``: valuation 1..3, known order 0..9."""
+    order = draw(st.integers(0, 9))
+    low = draw(st.integers(1, 3))
+    monos = [m for m in itertools.product(range(4), repeat=len(target)) if low <= sum(m) <= 5]
+    terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=4))
+    return TruncSeries(target, terms, order)
+
+
+@st.composite
+def substitutions(draw):
+    f = draw(series2(kernel_rats))
+    names = draw(st.sampled_from(sorted(_TARGETS)))
+    target = draw(st.sampled_from(_TARGETS[names]))
+    return f, {v: draw(images_in(target)) for v in names}
+
+
+def _same_substitution(f, images):
+    got = f.substitute(images)
+    want = _loop_substitute(f, images)
+    assert got.vars == want.vars
+    _same_as_reference(got, want)
+
+
+_ZW = ("z", "w")
+_WTZ = ("w", "t", "z")
+
+
+@settings(max_examples=400, deadline=None)
+@given(substitutions())
+# no images at all
+@example((_Z * _W + _W.scale(_THIRD), {}))
+# image of valuation 2 known to a lower order than f; f has terms at degree >= 3
+@example((
+    parse_series("z^3 + z*w^4 + w + 1/3*z", _ZW, 8),
+    {"w": parse_series("t^2 - 1/7*i*z*w", _WTZ, 3)},
+))
+# both substituted into a space with no source variable
+@example((
+    parse_series("1 + z^2*w - 5/9*w^3", _ZW, 7),
+    {"z": parse_series("s + t^2", ("s", "t"), 6), "w": parse_series("s*t", ("s", "t"), 9)},
+))
+def test_substitute_matches_term_loop(case):
+    _same_substitution(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series2(kernel_rats), images_in(("z", "w")), kernel_rats)
+def test_substitute_drops_cancelled_groups(f, image, c):
+    # keep only the z-part of the image: then c*(w - g(z)) composes to zero,
+    # so the group of w and the pass-through group cancel term by term
+    g = TruncSeries(_ZW, {m: v for m, v in image.terms.items() if m[1] == 0}, image.order)
+    lifted = f + (TruncSeries.variable("w", _ZW, f.order) - g).scale(c)
+    _same_substitution(lifted, {"w": g})
+
+
+def test_substitute_calls_no_public_add_or_multiply(monkeypatch):
+    cases = [
+        (parse_series("z^3 + z*w^4 + w", _ZW, 8), {"w": parse_series("t^2 - z*w", _WTZ, 7)}),
+        (s("-wb + z*zb + z^2*zb^2*wb"),
+         {"wb": parse_series("-w + z*zb + i*z*zb*w", ("z", "zb", "w"), 10)}),
+        (s("z*zb - 3*wb^2"), {}),
+    ]
+    want = [_loop_substitute(f, images) for f, images in cases]
+
+    def forbidden(*args):
+        raise AssertionError("substitute called a public ring operation")
+
+    monkeypatch.setattr(TruncSeries, "__add__", forbidden)
+    monkeypatch.setattr(TruncSeries, "__mul__", forbidden)
+    assert [f.substitute(images) for f, images in cases] == want
+
+
 # -- division -----------------------------------------------------------------
 
 

@@ -252,6 +252,37 @@ def test_third_jet_regression_deep():
     assert third_jet_check(SolutionManifold(q), t) is None
 
 
+def _loop_third_jet_expanded(m, t):
+    """Reference for ``third_jet_expanded``: the table summed row by row."""
+    xv, av, bv = m.q.vars
+    result = None
+    for word, coeff, qfactors, det1, det2 in tr.THIRD_JET_TABLE:
+        term = t
+        for ch in word:
+            term = term.derive(av if ch == "a" else bv)
+        term = term.scale(GaussRat.of(coeff))
+        for f in qfactors:
+            term = term * m.d(f)
+        term = term * m.det(*det1) * m.det(*det2)
+        result = term if result is None else result + term
+    return result
+
+
+def test_grouped_third_jet_table_matches_row_sum():
+    cases = [section5_pair(seed, 6) for seed in (101, 202, 303)]
+    rng = random.Random(7)
+    terms = {}
+    for mono in itertools.product(range(5), repeat=3):
+        if 0 < sum(mono) <= 4 and rng.random() < 0.8:
+            terms[mono] = random_gauss(rng)
+    q = parse_series("a - b + x*a", XAB, 9) + TruncSeries(XAB, terms, 9)
+    cases.append((q, random_series(rng, XAB, 3, 9, keep=0.8)))
+    for q, t in cases:
+        m = SolutionManifold(q)
+        # ``==`` compares the terms, the known order and the variables
+        assert third_jet_expanded(m, t) == _loop_third_jet_expanded(m, t)
+
+
 def test_third_jet_fault_injection():
     q, t = section5_pair(101, 6)
     original = tr.THIRD_JET_TABLE
@@ -314,6 +345,20 @@ def test_double_dual_is_identity():
         m = SolutionManifold(q)
         again = dual_manifold(dual_manifold(m, 8), 8)
         assert (again.q - q).is_zero()
+
+
+def test_dual_is_kept_per_order(monkeypatch):
+    q = random_solvable_q(random.Random(61), 8)
+    m = SolutionManifold(q)
+    calls = []
+    build = tr.dual_manifold
+    monkeypatch.setattr(tr, "dual_manifold", lambda *args: calls.append(args[1]) or build(*args))
+    first = m.dual(8)
+    assert first.q == build(SolutionManifold(q), 8).q
+    # an order above the known order of Q is the same effective order
+    assert m.dual(8) is first and m.dual(12) is first
+    assert m.dual(6) is not first
+    assert calls == [8, 6]
 
 
 def test_dual_requires_unit_q_b():
