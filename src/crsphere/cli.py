@@ -353,7 +353,13 @@ def main(argv=None) -> int:
     except (CrsError, ValueError, OSError) as exc:
         report = Report(VERDICT_ERROR, tested_order=0, payload={"message": str(exc)})
         code = 1
-    _emit(render_report(report, pretty=pretty), output)
+    try:
+        text = render_report(report, pretty=pretty)
+    except ValueError as exc:  # a number too long for decimal text
+        text = render_report(Report(VERDICT_ERROR, tested_order=0, payload={"message": str(exc)}),
+                             pretty=pretty)
+        code = 1
+    _emit(text, output)
     return code
 
 

@@ -27,6 +27,9 @@ from .series import TruncSeries
 
 MAX_EXPONENT = 9999
 MAX_DEPTH = 100  # parenthesis nesting; keeps parse and evaluation off the recursion limit
+# size of any numerator or denominator while evaluating, in the cleared form;
+# keeps input far below the 4,300-digit limit of rendering an int
+MAX_COEFF_BITS = 4096
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])")
 
@@ -189,10 +192,34 @@ def _base(toks: _Tokens) -> Node:
 # -- evaluation -----------------------------------------------------------------
 
 
+def _bounded(f: TruncSeries) -> TruncSeries:
+    if f.bits() > MAX_COEFF_BITS:
+        raise ValueError(f"a coefficient of the input exceeds {MAX_COEFF_BITS} bits")
+    return f
+
+
+def _power(base: TruncSeries, n: int, order: int) -> TruncSeries:
+    """``base^n`` at ``order`` by repeated squaring, each step truncated."""
+    if n == 0:
+        return TruncSeries.one(base.vars, order)
+    if base.valuation() * n >= order:
+        return TruncSeries.zero(base.vars, order)
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else _bounded((result * base).truncate(order))
+        n >>= 1
+        if not n:
+            return result
+        base = _bounded((base * base).truncate(order))
+
+
 def eval_ast(node: Node, vars: Sequence[str], order: int) -> TruncSeries:
+    """Evaluate at ``order``: every node is known to at least ``order``, so
+    each product step is truncated to it."""
     vars = tuple(vars)
     if isinstance(node, Number):
-        return TruncSeries.constant(GaussRat.of(node.value), vars, order)
+        return _bounded(TruncSeries.constant(GaussRat.of(node.value), vars, order))
     if isinstance(node, ImaginaryUnit):
         return TruncSeries.constant(GaussRat.i(), vars, order)
     if isinstance(node, Variable):
@@ -205,22 +232,23 @@ def eval_ast(node: Node, vars: Sequence[str], order: int) -> TruncSeries:
             value = eval_ast(child, vars, order)
             value = -value if negated else value
             total = value if total is None else total + value
-        return total
+        return _bounded(total)
     if isinstance(node, Product):
         result = eval_ast(node.factors[0], vars, order)
         for child in node.factors[1:]:
-            result = result * eval_ast(child, vars, order)
+            result = _bounded((result * eval_ast(child, vars, order)).truncate(order))
         return result
     if isinstance(node, Pow):
-        return eval_ast(node.base, vars, order).pow(node.exponent)
+        return _power(eval_ast(node.base, vars, order), node.exponent, order)
     raise TypeError(f"unknown AST node {node!r}")
 
 
 def parse_series(text: str, vars: Sequence[str], order: int) -> TruncSeries:
     """Parse expression text into an exact series truncated at ``order``.
 
-    Intermediate products may be known beyond ``order`` (multiplication
-    gains valuation), so the result is normalized back to ``order``.
+    Every numerator and the denominator of the result, and of each
+    intermediate value, has at most ``MAX_COEFF_BITS`` bits; larger input
+    raises ``ValueError``.
     """
     return eval_ast(parse_expr(text), vars, order).truncate(order)
 

@@ -1,7 +1,7 @@
 """Sparse truncated multivariate formal power series over Gaussian rationals.
 
-A ``TruncSeries`` stores a finite map from exponent tuples to nonzero
-``GaussRat`` coefficients together with a *known order* ``K``: every
+A ``TruncSeries`` is a finite map from exponent tuples to nonzero
+Gaussian-rational coefficients together with a *known order* ``K``: every
 coefficient of total degree ``< K`` is exact, everything at degree
 ``>= K`` is unknown and never stored.  All operations propagate ``K``
 conservatively by fixed rules so that independent computation paths
@@ -18,45 +18,24 @@ the zero series).  Monomials are ordered graded-lexicographically:
 by total degree first, then by the exponent tuple; "lowest term" always
 means minimal in this order, which pins witness selection.
 
-``f * g`` and ``f.div(g)`` run on an integer-numerator kernel.  Each
-operand is brought over one common denominator ``D`` (the lcm of its
-``re``/``im`` denominators), so a term becomes ``(mono, degree, D*re,
-D*im)`` with plain ints and its degree is summed once.  The convolution
-accumulates ``re1*re2 - im1*im2`` and ``re1*im2 + im1*re2`` per output
-monomial with no gcd in the loop, and builds one ``GaussRat`` over
-``Df*Dg`` per nonzero output term.  ``div`` runs the same convolution
-once per degree, of that degree's quotient terms with ``g - c``.  The
-results are exactly those of the pair-by-pair ``GaussRat`` loops, which
-``tests/test_series.py`` keeps as references for hypothesis tests on
-mixed, large and purely imaginary coefficients, cancelling products,
-zero and constant operands, positive valuation and divisors whose
-constant term is not 1.
-
-``f.substitute(images)`` runs on the same kernel.  The terms of ``f`` are
-grouped by the exponents of the substituted variables; the exponents of
-a pass-through variable only move into its slot of the target space.
-Each distinct product of image powers is formed once, as a running
-product over the substituted slots in sorted order (an exponent 0 costs
-nothing), and is dropped once the groups under it are done.  Each group
-is convolved with its product into one accumulator over one common
-denominator, and one ``GaussRat`` is built per nonzero output term.  The
-result is exactly that of the term-by-term loop (a constant times one
-image power per slot, added into the result), which ``tests/test_series.py``
-keeps as the reference for hypothesis tests on pass-through variables,
-target spaces other than the source, images of valuation 2 and more or
-known to a lower order than ``f``, terms at or above the common order,
-cancelling groups, mixed and large denominators and no images at all.
-
-The kernel's helpers are private: the benchmark's tracer wraps every
-public function of this module, and a span per helper call would change
-the spans it counts.
+Representation: the coefficients are kept cleared, as one positive int
+denominator ``_den`` and a map ``_num`` from monomials to nonzero
+Gaussian-integer numerators ``(re, im)``, every monomial of degree below
+``K``.  The form is normalised so that ``_den`` and all numerators have
+gcd 1, and the zero series has ``_den == 1``; it is canonical, so ``==``
+compares it directly.  Every operation works on ints, and ``GaussRat`` is
+built only at the boundary: the constructor clears its input, and
+``terms``, ``coeff``, ``constant_term``, ``lowest_term`` and
+``sorted_terms`` build fresh values on each call.  The kernel's helpers
+are private: the benchmark's tracer wraps every public function of this
+module, and a span per helper call would change the spans it counts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from itertools import groupby
+from math import gcd, lcm
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional
 
@@ -75,35 +54,19 @@ def graded_lex_key(mono: Mono) -> tuple:
     return (sum(mono), mono)
 
 
-def _cleared(terms: Mapping[Mono, GaussRat]) -> tuple:
-    """Clear denominators once: ``(D, [(mono, degree, D*re, D*im), ...])``.
+def _convolve(left: dict, right: dict, order: int, acc: Optional[dict] = None) -> dict:
+    """Gaussian-integer product of two numerator maps below ``order``.
 
-    ``D`` is the lcm of every ``re``/``im`` denominator, so the scaled
-    parts are plain ints; ``D`` is 1 for no terms.
-    """
-    den = lcm(*(q.denominator for c in terms.values() for q in (c.re, c.im)))
-    return den, [
-        (
-            mono,
-            sum(mono),
-            c.re.numerator * (den // c.re.denominator),
-            c.im.numerator * (den // c.im.denominator),
-        )
-        for mono, c in terms.items()
-    ]
-
-
-def _convolve(left: list, right: list, order: int, acc: Optional[dict] = None) -> dict:
-    """Gaussian-integer product of two cleared term lists below ``order``.
-
-    Returns ``{mono: [re, im]}`` over the product of the two denominators;
-    no gcd is taken inside the loop.  With ``acc`` the product is added
-    into that accumulator, which is returned.
+    Returns ``{mono: [re, im]}``, zeros included; no gcd is taken inside
+    the loop.  With ``acc`` the product is added into that accumulator,
+    which is returned.
     """
     if acc is None:
         acc = {}
-    for m1, d1, r1, i1 in left:
-        for m2, d2, r2, i2 in right:
+    rows = [(m, sum(m), re, im) for m, (re, im) in right.items()]
+    for m1, (r1, i1) in left.items():
+        d1 = sum(m1)
+        for m2, d2, r2, i2 in rows:
             if d1 + d2 >= order:
                 continue
             mono = tuple(map(add, m1, m2))
@@ -116,19 +79,49 @@ def _convolve(left: list, right: list, order: int, acc: Optional[dict] = None) -
     return acc
 
 
-def _rationalize(acc: dict, den: int) -> dict:
-    """One ``GaussRat`` per nonzero accumulated term of ``_convolve``."""
-    return {
-        mono: GaussRat(Fraction(re, den), Fraction(im, den))
-        for mono, (re, im) in acc.items()
-        if re or im
-    }
+def _over(c: GaussRat, den: int) -> tuple:
+    """The Gaussian-integer numerator of ``c`` over ``den``, a common
+    multiple of its denominators."""
+    return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+
+
+def _nonzero(acc: dict) -> dict:
+    """The nonzero accumulated terms of ``_convolve`` as ``(re, im)`` pairs."""
+    return {mono: (re, im) for mono, (re, im) in acc.items() if re or im}
+
+
+def _combine(parts: list) -> TruncSeries:
+    """``sum(sign * f)`` over ``(f, sign)`` pairs of one space, over the lcm
+    of their denominators."""
+    first = parts[0][0]
+    for f, _ in parts[1:]:
+        first._check_space(f)
+    order = min(f.order for f, _ in parts)
+    den = lcm(*(f._den for f, _ in parts))
+    acc: dict = {}
+    for f, sign in parts:
+        k = sign * (den // f._den)
+        items = f._num.items()
+        if f.order > order:
+            items = [(m, v) for m, v in items if sum(m) < order]
+        for mono, (re, im) in items:
+            old = acc.get(mono)
+            if old is None:
+                acc[mono] = (re * k, im * k)
+                continue
+            re = old[0] + re * k
+            im = old[1] + im * k
+            if re or im:
+                acc[mono] = (re, im)
+            else:
+                del acc[mono]
+    return TruncSeries._reduced(first.vars, order, den, acc)
 
 
 class TruncSeries:
     """A truncated formal power series; immutable by convention."""
 
-    __slots__ = ("vars", "terms", "order")
+    __slots__ = ("vars", "order", "_den", "_num")
     __hash__ = None
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Mono, GaussRat], order: int):
@@ -147,20 +140,41 @@ class TruncSeries:
             if coeff.is_zero() or sum(mono) >= order:
                 continue
             kept[mono] = coeff
+        # the lcm of reduced denominators leaves no common content
+        den = lcm(*(q.denominator for c in kept.values() for q in (c.re, c.im)))
         self.vars = vars
-        self.terms = kept
         self.order = order
+        self._den = den
+        self._num = {mono: _over(c, den) for mono, c in kept.items()}
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def _valid(vars: tuple, terms: dict, order: int) -> TruncSeries:
-        """Wrap terms that already satisfy the invariants ``__init__`` enforces."""
+    def _make(vars: tuple, order: int, den: int, num: dict) -> TruncSeries:
+        """Wrap numerators that are already normalised."""
         f = object.__new__(TruncSeries)
         f.vars = vars
-        f.terms = terms
         f.order = order
+        f._den = den
+        f._num = num
         return f
+
+    @staticmethod
+    def _reduced(vars: tuple, order: int, den: int, num: dict) -> TruncSeries:
+        """Wrap nonzero numerators below ``order`` over ``den > 0``,
+        dividing out their common content with ``den``."""
+        if not num:
+            den = 1
+        elif den != 1:
+            g = den
+            for re, im in num.values():
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                num = {mono: (re // g, im // g) for mono, (re, im) in num.items()}
+        return TruncSeries._make(vars, order, den, num)
 
     @staticmethod
     def zero(vars: Iterable[str], order: int) -> TruncSeries:
@@ -189,29 +203,46 @@ class TruncSeries:
     def arity(self) -> int:
         return len(self.vars)
 
+    @property
+    def terms(self) -> dict:
+        """``{mono: GaussRat}``, a fresh dict of fresh values on each access."""
+        return {mono: self._coeff(*pair) for mono, pair in self._num.items()}
+
+    def _coeff(self, re: int, im: int) -> GaussRat:
+        return GaussRat(Fraction(re, self._den), Fraction(im, self._den))
+
+    def bits(self) -> int:
+        """The largest size in bits of the denominator or a numerator part."""
+        top = max((abs(x) for pair in self._num.values() for x in pair), default=0)
+        return max(self._den, top).bit_length()
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def valuation(self) -> int:
-        if not self.terms:
+        if not self._num:
             return self.order
-        return min(sum(m) for m in self.terms)
+        return min(map(sum, self._num))
 
     def coeff(self, mono: Mono) -> GaussRat:
-        return self.terms.get(tuple(mono), ZERO)
+        pair = self._num.get(tuple(mono))
+        return ZERO if pair is None else self._coeff(*pair)
 
     def constant_term(self) -> GaussRat:
-        return self.terms.get((0,) * self.arity, ZERO)
+        return self.coeff((0,) * self.arity)
 
     def lowest_term(self) -> Optional[tuple]:
         """The (monomial, coefficient) pair minimal in graded-lex order."""
-        if not self.terms:
+        if not self._num:
             return None
-        mono = min(self.terms, key=graded_lex_key)
-        return mono, self.terms[mono]
+        mono = min(self._num, key=graded_lex_key)
+        return mono, self._coeff(*self._num[mono])
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: graded_lex_key(kv[0]))
+        return [
+            (mono, self._coeff(*self._num[mono]))
+            for mono in sorted(self._num, key=graded_lex_key)
+        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -219,7 +250,8 @@ class TruncSeries:
         return (
             self.vars == other.vars
             and self.order == other.order
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __repr__(self) -> str:
@@ -233,22 +265,28 @@ class TruncSeries:
         if self.vars != other.vars:
             raise ArityError(f"variable spaces differ: {self.vars} vs {other.vars}")
 
+    @staticmethod
+    def sum(parts: Iterable[TruncSeries]) -> TruncSeries:
+        """The sum of one or more series of one space, accumulated in one dict."""
+        return _combine([(f, 1) for f in parts])
+
     def __add__(self, other: TruncSeries) -> TruncSeries:
-        self._check_space(other)
-        order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, ZERO) + coeff
-        return TruncSeries(self.vars, terms, order)
+        return _combine([(self, 1), (other, 1)])
 
     def __sub__(self, other: TruncSeries) -> TruncSeries:
-        return self + (-other)
+        return _combine([(self, 1), (other, -1)])
 
     def __neg__(self) -> TruncSeries:
-        return TruncSeries(self.vars, {m: -c for m, c in self.terms.items()}, self.order)
+        num = {mono: (-re, -im) for mono, (re, im) in self._num.items()}
+        return TruncSeries._make(self.vars, self.order, self._den, num)
 
     def scale(self, c: GaussRat) -> TruncSeries:
-        return TruncSeries(self.vars, {m: c * v for m, v in self.terms.items()}, self.order)
+        if c.is_zero():
+            return TruncSeries._make(self.vars, self.order, 1, {})
+        cden = lcm(c.re.denominator, c.im.denominator)
+        a, b = _over(c, cden)
+        num = {mono: (re * a - im * b, re * b + im * a) for mono, (re, im) in self._num.items()}
+        return TruncSeries._reduced(self.vars, self.order, self._den * cden, num)
 
     def __mul__(self, other) -> TruncSeries:
         if isinstance(other, GaussRat):
@@ -259,10 +297,8 @@ class TruncSeries:
             other.order + self.valuation(),
             self.order + other.order,
         )
-        df, left = _cleared(self.terms)
-        dg, right = _cleared(other.terms)
-        terms = _rationalize(_convolve(left, right, order), df * dg)
-        return TruncSeries._valid(self.vars, terms, order)
+        num = _nonzero(_convolve(self._num, other._num, order))
+        return TruncSeries._reduced(self.vars, order, self._den * other._den, num)
 
     def __rmul__(self, other) -> TruncSeries:
         if isinstance(other, GaussRat):
@@ -286,9 +322,20 @@ class TruncSeries:
                 return result
             square = square * square
 
+    def homogeneous_part(self, d: int, order: int) -> TruncSeries:
+        """The terms of total degree ``d``, known to ``order``: the caller
+        vouches that the part has no other term below ``order``."""
+        num = {mono: pair for mono, pair in self._num.items() if sum(mono) == d < order}
+        return TruncSeries._reduced(self.vars, order, self._den, num)
+
     def truncate(self, n: int) -> TruncSeries:
         """Forget everything at total degree >= n (never raises the order)."""
-        return TruncSeries(self.vars, self.terms, min(self.order, n))
+        if n >= self.order:
+            return self
+        if n < 0:
+            raise ValueError("known order must be nonnegative")
+        num = {mono: pair for mono, pair in self._num.items() if sum(mono) < n}
+        return TruncSeries._reduced(self.vars, n, self._den, num)
 
     # -- calculus ------------------------------------------------------------
 
@@ -297,23 +344,24 @@ class TruncSeries:
         if var not in self.vars:
             raise ArityError(f"unknown variable {var!r} for space {self.vars}")
         i = self.vars.index(var)
-        order = max(self.order - 1, 0)
-        terms = {}
-        for mono, coeff in self.terms.items():
-            if mono[i] == 0:
-                continue
-            new = list(mono)
-            new[i] -= 1
-            terms[tuple(new)] = GaussRat.of(mono[i]) * coeff
-        return TruncSeries(self.vars, terms, order)
+        num = {}
+        for mono, (re, im) in self._num.items():
+            k = mono[i]
+            if k:
+                num[mono[:i] + (k - 1,) + mono[i + 1:]] = (k * re, k * im)
+        return TruncSeries._reduced(self.vars, max(self.order - 1, 0), self._den, num)
 
     def substitute(self, images: Mapping[str, TruncSeries]) -> TruncSeries:
         """Compose with the given images, exactly to the common known order.
 
         Every image must have zero constant term and all images must share
         one target variable space; variables without an image map to the
-        same-named variable of the target space.  The terms are summed by
-        groups of equal substituted exponents (see the module docstring).
+        same-named variable of the target space.  Terms with equal
+        substituted exponents form one group, whose pass-through exponents
+        only move into their target slots.  Each distinct product of image
+        powers is formed once, as a running product over the substituted
+        slots in sorted order, and each group is convolved with it into one
+        accumulator over one common denominator.
         """
         spaces = {im.vars for im in images.values()}
         if len(spaces) > 1:
@@ -323,93 +371,109 @@ class TruncSeries:
         for name, im in images.items():
             if name not in self.vars:
                 raise ArityError(f"image given for {name!r}, not a variable of {self.vars}")
-            if not im.constant_term().is_zero():
+            if (0,) * im.arity in im._num:
                 raise CompositionError(f"image for {name!r} has a nonzero constant term")
             order = min(order, im.order)
-        subbed = []  # (source slot, denominator, cleared image below the order)
+        subbed = []  # (source slot, denominator, image numerators below the order)
         shift = []  # (source slot, target slot) of each pass-through variable
         for i, v in enumerate(self.vars):
             if v in images:
-                below = {m: c for m, c in images[v].terms.items() if sum(m) < order}
-                subbed.append((i, *_cleared(below)))
+                im = images[v]
+                below = {m: pair for m, pair in im._num.items() if sum(m) < order}
+                subbed.append((i, im._den, below))
             else:
                 if v not in target:
                     raise ArityError(f"variable {v!r} absent from target space {target}")
                 shift.append((i, target.index(v)))
         # group the terms by their substituted exponents; pass-through
         # exponents move straight into their target slots
-        df, cleared = _cleared({m: c for m, c in self.terms.items() if sum(m) < order})
         groups: dict = {}
-        for mono, deg, re, im in cleared:
+        for mono, pair in self._num.items():
+            if sum(mono) >= order:
+                continue
             out = [0] * len(target)
             for i, j in shift:
                 out[j] = mono[i]
             key = tuple(mono[i] for i, _, _ in subbed)
-            groups.setdefault(key, []).append((tuple(out), deg - sum(key), re, im))
-        # one denominator for every group: df times each image's to its top power
-        common = df
+            groups.setdefault(key, {})[tuple(out)] = pair
+        # one denominator for every group: f's times each image's to its top power
+        common = self._den
         for k, (_, den, _) in enumerate(subbed):
             common *= den ** max((key[k] for key in groups), default=0)
         acc: dict = {}
 
-        def expand(keys: list, level: int, product: list, den: int) -> None:
+        def expand(keys: list, level: int, product: dict, den: int) -> None:
             # ``keys`` share their first ``level`` exponents, whose image
             # powers multiply to ``product`` over ``den``
             if level == len(subbed):
                 part = groups[keys[0]]
                 scale = common // den
                 if scale != 1:
-                    part = [(m, d, re * scale, im * scale) for m, d, re, im in part]
+                    part = {m: (re * scale, im * scale) for m, (re, im) in part.items()}
                 _convolve(part, product, order, acc)
                 return
             _, image_den, image = subbed[level]
             power = 0
             for e, sub in groupby(keys, itemgetter(level)):
                 while power < e:
-                    product = [
-                        (m, sum(m), re, im)
-                        for m, (re, im) in _convolve(product, image, order).items()
-                        if re or im
-                    ]
+                    product = _nonzero(_convolve(product, image, order))
                     den *= image_den
                     power += 1
                 expand(list(sub), level + 1, product, den)
 
         if groups:
-            expand(sorted(groups), 0, [((0,) * len(target), 0, 1, 0)], df)
+            expand(sorted(groups), 0, {(0,) * len(target): (1, 0)}, self._den)
         # the closure refers to itself: break that cycle, so the groups and
         # image products it holds are freed now, not at the next collection
         del expand
-        return TruncSeries._valid(target, _rationalize(acc, common), order)
+        return TruncSeries._reduced(target, order, common, _nonzero(acc))
 
     def div(self, g: TruncSeries) -> TruncSeries:
         """Divide by a unit series, degree by degree; exact to min(Kf, Kg)."""
         self._check_space(g)
-        c = g.constant_term()
-        if c.is_zero():
+        origin = (0,) * self.arity
+        if origin not in g._num:
             raise NonUnitError("divisor has zero constant term")
         order = min(self.order, g.order)
-        cinv = c.inv()
-        dg, gplus = _cleared({m: v for m, v in g.terms.items() if sum(m) > 0})
-        # rest[d]: the degree-d part of f minus every (g - c) * h_e, e < d, found so far
+        cr, ci = g._num[origin]
+        norm = cr * cr + ci * ci
+        gplus = {m: pair for m, pair in g._num.items() if m != origin}
+        # With f = F/Df and g = (c + G)/Dg, G the terms of positive degree,
+        # f/g = Dg/Df * q for q = F/(c + G).  Its degree-d part q_d is kept
+        # as the Gaussian integers N^(d+1) q_d, N = |c|^2, since dividing by
+        # c is multiplying by conj(c)/N; rest[d] holds N^d times the degree-d
+        # part of F minus every (G q_e)_d, e < d, found so far.
+        powers = [norm**k for k in range(order + 1)]
         rest = [{} for _ in range(order)]
-        for mono, coeff in self.terms.items():
-            if sum(mono) < order:
-                rest[sum(mono)][mono] = coeff
-        hterms: dict = {}
+        for mono, (re, im) in self._num.items():
+            d = sum(mono)
+            if d < order:
+                rest[d][mono] = (re * powers[d], im * powers[d])
+        quotient = []  # (d, N^(d+1) q_d)
         for d in range(order):
-            h_d = {}
-            for mono, coeff in rest[d].items():
-                val = coeff * cinv
-                if not val.is_zero():
-                    h_d[mono] = val
-            hterms.update(h_d)
-            dh, cleared = _cleared(h_d)
-            product = _rationalize(_convolve(cleared, gplus, order), dh * dg)
-            for mono, coeff in product.items():
-                part = rest[sum(mono)]
-                part[mono] = part.get(mono, ZERO) - coeff
-        return TruncSeries._valid(self.vars, hterms, order)
+            q = {
+                mono: (re * cr + im * ci, im * cr - re * ci)
+                for mono, (re, im) in rest[d].items()
+                if re or im
+            }
+            if not q:
+                continue
+            quotient.append((d, q))
+            for mono, (re, im) in _convolve(q, gplus, order).items():
+                e = sum(mono)
+                s = powers[e - d - 1]
+                part = rest[e]
+                old = part.get(mono, (0, 0))
+                part[mono] = (old[0] - re * s, old[1] - im * s)
+        if not quotient:
+            return TruncSeries._make(self.vars, order, 1, {})
+        top = quotient[-1][0]
+        num = {}
+        for d, q in quotient:
+            s = powers[top - d] * g._den
+            for mono, (re, im) in q.items():
+                num[mono] = (re * s, im * s)
+        return TruncSeries._reduced(self.vars, order, self._den * powers[top + 1], num)
 
     # -- variable-space plumbing ----------------------------------------------
 
@@ -423,7 +487,8 @@ class TruncSeries:
         new_vars = tuple(relabel.get(v, v) for v in self.vars)
         if len(set(new_vars)) != len(new_vars):
             raise ArityError(f"relabeling {relabel} is not a bijection on {self.vars}")
-        return TruncSeries(new_vars, {m: c.conj() for m, c in self.terms.items()}, self.order)
+        num = {mono: (re, -im) for mono, (re, im) in self._num.items()}
+        return TruncSeries._make(new_vars, self.order, self._den, num)
 
     def rename(self, mapping: Mapping[str, str]) -> TruncSeries:
         """Rename variables (bijectively) without touching coefficients."""
@@ -431,7 +496,7 @@ class TruncSeries:
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
         if len(set(new_vars)) != len(new_vars):
             raise ArityError(f"renaming {mapping} is not a bijection on {self.vars}")
-        return TruncSeries(new_vars, dict(self.terms), self.order)
+        return TruncSeries._make(new_vars, self.order, self._den, self._num)
 
     def reorder(self, new_vars: Iterable[str]) -> TruncSeries:
         """Permute variable slots into the given order."""
@@ -439,19 +504,19 @@ class TruncSeries:
         if set(new_vars) != set(self.vars) or len(new_vars) != self.arity:
             raise ArityError(f"{new_vars} is not a permutation of {self.vars}")
         idx = [self.vars.index(v) for v in new_vars]
-        terms = {tuple(m[i] for i in idx): c for m, c in self.terms.items()}
-        return TruncSeries(new_vars, terms, self.order)
+        num = {tuple(m[i] for i in idx): pair for m, pair in self._num.items()}
+        return TruncSeries._make(new_vars, self.order, self._den, num)
 
     def extend(self, new_vars: Iterable[str]) -> TruncSeries:
         """Embed into a larger variable space containing the current one."""
         new_vars = tuple(new_vars)
         if not set(self.vars) <= set(new_vars):
             raise ArityError(f"{new_vars} does not contain {self.vars}")
-        pos = {v: new_vars.index(v) for v in self.vars}
-        terms = {}
-        for mono, coeff in self.terms.items():
+        pos = [new_vars.index(v) for v in self.vars]
+        num = {}
+        for mono, pair in self._num.items():
             new = [0] * len(new_vars)
-            for v, e in zip(self.vars, mono):
-                new[pos[v]] = e
-            terms[tuple(new)] = coeff
-        return TruncSeries(new_vars, terms, self.order)
+            for j, e in zip(pos, mono):
+                new[j] = e
+            num[tuple(new)] = pair
+        return TruncSeries._make(new_vars, self.order, self._den, num)

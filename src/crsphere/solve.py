@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InternalCheckError, NotSolvableError
-from .rational import ZERO
 from .series import TruncSeries
 
 
@@ -67,7 +66,8 @@ def implicit_solve(
         return tuple(1 if v == var else 0 for v in space)
 
     jac = [[eq.coeff(unit_mono(u)) for u in unknowns] for eq in eqs]
-    jinv = _invert_matrix(jac)
+    # the correction of each degree is -J^(-1) times the residuals' parts
+    step = [[-c for c in row] for row in _invert_matrix(jac)]
 
     sols = {u: TruncSeries.zero(knowns, order) for u in unknowns}
     for d in range(1, order):
@@ -75,24 +75,12 @@ def implicit_solve(
         residuals = [
             eq.truncate(d + 1).substitute({u: sols[u] for u in unknowns}) for eq in eqs
         ]
-        parts = [
-            {m: c for m, c in r.terms.items() if sum(m) == d} for r in residuals
-        ]
-        if not any(parts):
+        # each correction is homogeneous of degree d, so it is exact to ``order``
+        parts = [r.homogeneous_part(d, order) for r in residuals]
+        if all(p.is_zero() for p in parts):
             continue
-        monos = set()
-        for p in parts:
-            monos.update(p)
-        for j, u in enumerate(unknowns):
-            delta = {}
-            for mono in monos:
-                val = ZERO
-                for i in range(len(eqs)):
-                    val = val + jinv[j][i] * parts[i].get(mono, ZERO)
-                if not val.is_zero():
-                    delta[mono] = -val
-            if delta:
-                sols[u] = sols[u] + TruncSeries(knowns, delta, order)
+        for u, row in zip(unknowns, step):
+            sols[u] = TruncSeries.sum([sols[u], *(p.scale(c) for p, c in zip(parts, row))])
     for eq in eqs:
         residual = eq.substitute({u: sols[u] for u in unknowns})
         if not residual.is_zero():

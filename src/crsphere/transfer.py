@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import ArityError, InternalCheckError, NonUnitError, NotSolvableError
-from .rational import ZERO, GaussRat
+from .rational import GaussRat
 from .series import TruncSeries
 from .solve import implicit_solve
 
@@ -416,15 +416,6 @@ DET_DERIVATIVE_IDENTITIES = (
 REPEATED_COLUMN_SPECIES = (("bb", "bb"), ("ab", "ab"), ("ab", "ab"), ("aa", "aa"))
 
 
-def _sum(parts: list) -> TruncSeries:
-    """The sum of series of one space, accumulated in one dict."""
-    terms: dict = {}
-    for s in parts:
-        for mono, coeff in s.terms.items():
-            terms[mono] = terms.get(mono, ZERO) + coeff
-    return TruncSeries(parts[0].vars, terms, min(s.order for s in parts))
-
-
 def third_jet_expanded(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
     """Evaluate the static term table for ``delta^5 * G_yxyxyx``.
 
@@ -453,12 +444,12 @@ def third_jet_expanded(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
             if qfactors not in qprods:
                 f1, f2, f3 = qfactors
                 qprods[qfactors] = m.d(f1) * m.d(f2) * m.d(f3)
-            inner.append(qprods[qfactors] * _sum(weighted))
+            inner.append(qprods[qfactors] * TruncSeries.sum(weighted))
         s = t
         for ch in word:
             s = s.derive(av if ch == "a" else bv)
-        parts.append(s * _sum(inner))
-    return _sum(parts)
+        parts.append(s * TruncSeries.sum(inner))
+    return TruncSeries.sum(parts)
 
 
 def third_jet_check(m: SolutionManifold, t: TruncSeries):

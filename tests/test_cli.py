@@ -11,6 +11,8 @@ import crsphere.cli as cli
 import crsphere.invariants as inv
 import crsphere.transfer as tr
 from crsphere.cli import main
+from crsphere.rational import GaussRat
+from crsphere.report import VERDICT_NON_SPHERICAL, Report
 from crsphere.series import TruncSeries
 
 FIXED_KEYS = [
@@ -23,11 +25,12 @@ FIXED_KEYS = [
 ]
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "crsphere.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -77,6 +80,43 @@ def test_deep_nesting_is_one_error_report():
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["verdict"] == "error"  # exactly one document
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--theta=-wb + z*zb + (z+zb+wb)^120", "--order", "16"],
+        ["check", "--theta=-wb + z*zb + (z+zb+wb)^9999", "--order", "16"],
+        ["to-complex", "--phi", "x^2 + y^2 + (x+y+v)^9999", "--order", "16"],
+    ],
+)
+def test_high_powers_are_evaluated_at_the_working_order(argv):
+    # the power has valuation far above the order, so it is zero at once
+    proc = run_cli(argv, timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] in ("spherical-to-order", "ok")  # one document
+    assert "Traceback" not in proc.stderr
+
+
+def test_oversized_coefficient_is_one_error_report():
+    proc = run_cli(
+        ["check", "--theta=-wb + z*zb + 123456789^9999*z^2*zb^2", "--order", "12"], timeout=10
+    )
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)  # exactly one document
+    assert out["verdict"] == "error"
+    assert "bits" in out["message"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_unrenderable_report_is_one_error_report(capsys, monkeypatch):
+    # a coefficient past Python's int-to-str limit cannot be written as text
+    huge = Report(VERDICT_NON_SPHERICAL, 6, (0, 0, 0), GaussRat.of(10**5000))
+    monkeypatch.setattr(cli, "run_job", lambda cfg: huge)
+    code = main(["check", "--theta", "-wb + z*zb"])
+    out = json.loads(capsys.readouterr().out)  # exactly one document
+    assert code == 1
+    assert out["verdict"] == "error"
 
 
 def test_order_too_small_exit_one(capsys):

@@ -204,6 +204,23 @@ def test_verdict_multiply_count(monkeypatch):
     assert len(calls) <= VERDICT_MULTIPLIES
 
 
+# ``GaussRat`` values built in one order-12 verdict on ``_image(12)``: 2,411
+# while every series stored ``GaussRat`` coefficients, 9 since series stay
+# cleared and only the boundary builds them (constant terms of the Levi
+# determinant, one formula constant)
+VERDICT_GAUSSRATS = 9
+
+
+def test_verdict_gaussrat_count(monkeypatch):
+    d = ComplexDefining.from_theta(_image(12).theta)
+    built = []
+    post_init = GaussRat.__post_init__
+    monkeypatch.setattr(GaussRat, "__post_init__", lambda q: built.append(1) or post_init(q))
+    report = sphericality_verdict(d, 12)
+    assert report.verdict == "spherical-to-order"
+    assert len(built) <= VERDICT_GAUSSRATS
+
+
 def test_transformed_image_may_have_nonzero_aj4_but_zero_aj6():
     d = heisenberg()
     image = transform_defining(d, corpus_biholos(10)[0], 10)

@@ -7,7 +7,7 @@ import pytest
 
 from crsphere.errors import ExprSyntaxError
 from crsphere.fixtures import random_series
-from crsphere.parsing import MAX_DEPTH, parse_expr, parse_series, render_series
+from crsphere.parsing import MAX_COEFF_BITS, MAX_DEPTH, parse_expr, parse_series, render_series
 from crsphere.rational import GaussRat
 from crsphere.report import Report, render_report
 from crsphere.series import TruncSeries
@@ -139,3 +139,19 @@ def test_levi_degenerate_report_has_no_witness():
     assert doc["verdict"] == "levi-degenerate"
     assert doc["witness_monomial"] is None
     assert doc["witness_coefficient"] is None
+
+
+def test_coefficient_bits_are_bounded():
+    # 2^4095 has 4096 bits and 2^4096 one more, as numerator or denominator
+    assert parse_series(f"2^{MAX_COEFF_BITS - 1}*z", VARS, 10).bits() == MAX_COEFF_BITS
+    for text in (f"2^{MAX_COEFF_BITS}*z", f"(1/2)^{MAX_COEFF_BITS}*z", "(123456789^400)^9999"):
+        with pytest.raises(ValueError, match="bits"):
+            parse_series(text, VARS, 10)
+
+
+def test_powers_are_evaluated_at_the_working_order():
+    # every node is truncated to the order; the bytes equal the untruncated route
+    f = parse_series("(1 + z - 1/3*zb)^40 * (z + wb)^3", VARS, 8)
+    want = parse_series("1 + z - 1/3*zb", VARS, 60).pow(40) * parse_series("z + wb", VARS, 60).pow(3)
+    assert f == want.truncate(8)
+    assert parse_series("(z + zb + wb)^8", VARS, 8).is_zero()

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -163,10 +164,22 @@ _THIRD = GaussRat(Fraction(1, 3), Fraction(0))
 _I_SEVENTH = GaussRat(Fraction(0), Fraction(1, 7))
 
 
+def _assert_normalised(f):
+    """The representation contract: one positive denominator with no content
+    in common with the Gaussian-integer numerators, and no zero or
+    out-of-order term."""
+    assert f._den > 0
+    assert gcd(f._den, *(x for pair in f._num.values() for x in pair)) == 1
+    for mono, pair in f._num.items():
+        assert type(pair) is tuple and pair != (0, 0)
+        assert len(mono) == f.arity and sum(mono) < f.order
+
+
 def _same_as_reference(got, want):
     # the reference stores no zero, so a stored zero would be an extra key
     assert got.terms == want.terms
     assert got.order == want.order
+    _assert_normalised(got)
 
 
 @settings(max_examples=400, deadline=None)
@@ -204,6 +217,176 @@ def test_mul_kernel_drops_cancelled_terms(f, a, b):
 def test_div_kernel_matches_gaussrat_loop(f, g, c):
     unit = TruncSeries(g.vars, {**g.terms, (0, 0): c}, max(g.order, 1))
     _same_as_reference(f.div(unit), _loop_div(f, unit))
+
+
+# -- the cleared representation against GaussRat-backed references ------------------
+
+
+def _ref_add(f, g):
+    """Reference for ``+``: one ``GaussRat`` sum per common monomial."""
+    terms = f.terms
+    for mono, coeff in g.terms.items():
+        terms[mono] = terms.get(mono, ZERO) + coeff
+    return TruncSeries(f.vars, terms, min(f.order, g.order))
+
+
+def _ref_neg(f):
+    return TruncSeries(f.vars, {m: -c for m, c in f.terms.items()}, f.order)
+
+
+def _ref_sub(f, g):
+    return _ref_add(f, _ref_neg(g))
+
+
+def _ref_scale(f, c):
+    return TruncSeries(f.vars, {m: c * v for m, v in f.terms.items()}, f.order)
+
+
+def _ref_derive(f, var):
+    i = f.vars.index(var)
+    terms = {}
+    for mono, coeff in f.terms.items():
+        if mono[i]:
+            new = list(mono)
+            new[i] -= 1
+            terms[tuple(new)] = GaussRat.of(mono[i]) * coeff
+    return TruncSeries(f.vars, terms, max(f.order - 1, 0))
+
+
+def _ref_truncate(f, n):
+    return TruncSeries(f.vars, f.terms, min(f.order, n))
+
+
+def _ref_conjugate(f, relabel):
+    new_vars = tuple(relabel.get(v, v) for v in f.vars)
+    return TruncSeries(new_vars, {m: c.conj() for m, c in f.terms.items()}, f.order)
+
+
+def _ref_reorder(f, new_vars):
+    idx = [f.vars.index(v) for v in new_vars]
+    return TruncSeries(new_vars, {tuple(m[i] for i in idx): c for m, c in f.terms.items()},
+                       f.order)
+
+
+def _ref_extend(f, new_vars):
+    terms = {}
+    for mono, coeff in f.terms.items():
+        new = [0] * len(new_vars)
+        for v, e in zip(f.vars, mono):
+            new[new_vars.index(v)] = e
+        terms[tuple(new)] = coeff
+    return TruncSeries(new_vars, terms, f.order)
+
+
+_NAMES = ("z", "w", "s", "t")
+_chain_orders = st.one_of(st.just(0), st.just(1), st.integers(2, 25))
+
+
+def _series_over(data, vars, order=None):
+    """A series over ``vars`` with up to five terms, some at or above its order."""
+    if order is None:
+        order = data.draw(_chain_orders)
+    top = order // len(vars) + 2
+    monos = st.tuples(*[st.integers(0, top)] * len(vars))
+    terms = data.draw(st.dictionaries(monos, kernel_rats, max_size=5))
+    return TruncSeries(vars, terms, order)
+
+
+_CHAIN_OPS = ("add", "sub", "neg", "scale", "derive", "truncate", "conjugate", "reorder",
+              "extend", "mul", "div")
+
+
+def _chain_step(data, f):
+    """One operation on ``f``: the kernel's result and the reference's."""
+    op = data.draw(st.sampled_from(_CHAIN_OPS))
+    if op in ("add", "sub", "mul", "div"):
+        g = _series_over(data, f.vars)
+        if op == "add":
+            return f + g, _ref_add(f, g)
+        if op == "sub":
+            return f - g, _ref_sub(f, g)
+        if op == "mul":
+            return f * g, _loop_mul(f, g)
+        c = data.draw(kernel_rats.filter(bool))
+        unit = TruncSeries(g.vars, {**g.terms, (0,) * len(g.vars): c}, max(g.order, 1))
+        return f.div(unit), _loop_div(f, unit)
+    if op == "neg":
+        return -f, _ref_neg(f)
+    if op == "scale":
+        c = data.draw(kernel_rats)
+        return f.scale(c), _ref_scale(f, c)
+    if op == "derive":
+        var = data.draw(st.sampled_from(f.vars))
+        return f.derive(var), _ref_derive(f, var)
+    if op == "truncate":
+        n = data.draw(st.integers(0, 26))
+        return f.truncate(n), _ref_truncate(f, n)
+    if op == "conjugate":
+        perm = data.draw(st.permutations(f.vars))
+        relabel = dict(zip(f.vars, perm))
+        return f.conjugate(relabel), _ref_conjugate(f, relabel)
+    if op == "reorder":
+        new_vars = tuple(data.draw(st.permutations(f.vars)))
+        return f.reorder(new_vars), _ref_reorder(f, new_vars)
+    fresh = [v for v in _NAMES if v not in f.vars]
+    if not fresh:
+        return f.reorder(f.vars), _ref_reorder(f, f.vars)
+    new_vars = tuple(data.draw(st.permutations(f.vars + (fresh[0],))))
+    return f.extend(new_vars), _ref_extend(f, new_vars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_operation_chains_stay_normalised_and_match_references(data):
+    arity = data.draw(st.integers(1, 4))
+    f = _series_over(data, _NAMES[:arity])
+    _assert_normalised(f)
+    for _ in range(data.draw(st.integers(1, 5))):
+        f, want = _chain_step(data, f)
+        assert f.vars == want.vars
+        _same_as_reference(f, want)
+
+
+def test_terms_is_a_fresh_copy():
+    f = s("1/3*z - 2/5*i*zb^2 + wb")
+    before = f.terms
+    f.terms[(0, 0, 0)] = GaussRat.of(7)
+    taken = f.terms
+    taken.clear()
+    assert f.terms == before
+    assert f == s("1/3*z - 2/5*i*zb^2 + wb")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_multiply_then_divide_round_trip(order, data):
+    # f and g have different denominators, so the product's is their product
+    f = data.draw(series2(kernel_rats).map(lambda h: TruncSeries(h.vars, h.terms, order)))
+    g = data.draw(series2(kernel_rats).map(lambda h: TruncSeries(h.vars, h.terms, order)))
+    c = data.draw(kernel_rats.filter(bool))
+    unit = TruncSeries(g.vars, {**g.terms, (0, 0): c}, order)
+    assert (f * unit).div(unit) == f
+
+
+def test_kernel_operations_build_no_gaussrat(monkeypatch):
+    f = s("1/3*z - 2/5*i*zb^2 + wb - 7*z*zb*wb")
+    g = s("2 - 1/7*i*z + 3/4*wb^2")
+    c = GaussRat(Fraction(2, 3), Fraction(-1, 5))
+    target = ("z", "zb", "w")
+    images = {
+        "wb": parse_series("-w + z*zb + 1/2*i*z*zb*w", target, 10),
+        "z": parse_series("zb", target, 10),
+        "zb": parse_series("z + 1/3*z^2", target, 10),
+    }
+    built = []
+    post_init = GaussRat.__post_init__
+    monkeypatch.setattr(GaussRat, "__post_init__", lambda q: built.append(q) or post_init(q))
+    results = [
+        f + g, f - g, -f, f.scale(c), f * c, f.derive("z"), f.truncate(5), f * g, f.pow(3),
+        f.div(g), f.substitute(images),
+    ]
+    assert built == []
+    assert all(not r.is_zero() for r in results)
 
 
 # -- derivation ----------------------------------------------------------------
