@@ -263,47 +263,52 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are input errors (exit 1); exit 2 is reserved for
-    # internal cross-check failures
+    # a usage problem is an input error: main turns it into one error
+    # report with exit code 1
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
+
+
+# (name, help, option carrying the command's input)
+_COMMANDS = (
+    ("check", "full sphericality verdict for a defining function", "--theta"),
+    ("to-complex", "convert a real graph u = phi(x, y, v) to a complex defining equation", "--phi"),
+    ("verify-reality", "check the reality condition of a defining function", "--theta"),
+    ("derive-ode", "eliminate the parameters: the associated second-order ODE", "--theta"),
+    ("invariants", "sphericality verdict plus invariant vanishing flags", "--theta"),
+    ("rigid-check", "sphericality of a rigid surface from its part Xi(z, zb)", "--xi"),
+    ("dual", "dual solution manifold and duality cross-checks", "--theta"),
+    ("self-test", "run the pinned fixture corpus", None),
+)
+_INPUT_HELP = {
+    "--theta": "defining function over (z, zb, wb)",
+    "--xi": "rigid part over (z, zb)",
+    "--phi": "real graphing function over (x, y, v)",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", help="job file of 'key = value' lines")
+    shared.add_argument("--vars", help="comma-separated variable names")
+    shared.add_argument("--order", type=int, help=f"truncation order (default {DEFAULT_ORDER})")
+    shared.add_argument("--output", help="write the report to this path (atomically)")
+    shared.add_argument("--json", action="store_true", help="compact JSON output (default)")
+    shared.add_argument("--pretty", action="store_true", help="indented JSON output")
+    shared.add_argument(
+        "--timings",
+        action="store_true",
+        help="include stage wall times in integer microseconds (breaks byte determinism)",
+    )
     parser = _Parser(
         prog="crsphere",
         description="Exact sphericality checks for hypersurfaces w = Theta(z, zb, wb) in C^2",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    specs = {
-        "check": "full sphericality verdict for a defining function",
-        "to-complex": "convert a real graph u = phi(x, y, v) to a complex defining equation",
-        "verify-reality": "check the reality condition of a defining function",
-        "derive-ode": "eliminate the parameters: the associated second-order ODE",
-        "invariants": "sphericality verdict plus invariant vanishing flags",
-        "rigid-check": "sphericality of a rigid surface from its part Xi(z, zb)",
-        "dual": "dual solution manifold and duality cross-checks",
-        "self-test": "run the pinned fixture corpus",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        if name in ("check", "verify-reality", "derive-ode", "invariants", "dual"):
-            p.add_argument("--theta", help="defining function over (z, zb, wb)")
-        if name == "rigid-check":
-            p.add_argument("--xi", help="rigid part over (z, zb)")
-        if name == "to-complex":
-            p.add_argument("--phi", help="real graphing function over (x, y, v)")
-        p.add_argument("--input", help="job file of 'key = value' lines")
-        p.add_argument("--vars", help="comma-separated variable names")
-        p.add_argument("--order", type=int, help=f"truncation order (default {DEFAULT_ORDER})")
-        p.add_argument("--output", help="write the report to this path (atomically)")
-        p.add_argument("--json", action="store_true", help="compact JSON output (default)")
-        p.add_argument("--pretty", action="store_true", help="indented JSON output")
-        p.add_argument(
-            "--timings",
-            action="store_true",
-            help="include stage wall times in integer microseconds (breaks byte determinism)",
-        )
+    for name, help_text, option in _COMMANDS:
+        p = sub.add_parser(name, help=help_text, parents=[shared])
+        if option is not None:
+            p.add_argument(option, help=_INPUT_HELP[option])
     return parser
 
 
@@ -340,12 +345,13 @@ def _config_from_args(args) -> JobConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    pretty = args.pretty
-    output = args.output
+    pretty = False
+    output = None
     try:
-        cfg = _config_from_args(args)
-        report = run_job(cfg)
+        args = _build_parser().parse_args(argv)
+        pretty = args.pretty
+        output = args.output
+        report = run_job(_config_from_args(args))
         code = 0
     except InternalCheckError as exc:
         report = Report(VERDICT_ERROR, tested_order=0, payload={"message": str(exc)})

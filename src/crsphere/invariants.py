@@ -89,8 +89,9 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     """The fourth-order closed formula, transcribed in Theta-partials.
 
     Numerator over ``delta^3`` with ``delta = t_zb t_zwb - t_wb t_zzb``:
-    ``delta`` times the fourth-order ``t_zz..`` jets, plus two groups keyed
-    by the third-order ones; the squares of ``t_zb``, ``t_wb`` are shared.
+    ``delta`` times the fourth-order ``t_zz..`` jets, plus the third-order
+    terms, factored through the two contractions ``py`` and ``px`` of the
+    shared squares of ``t_zb``, ``t_wb`` with the second-order jets.
     They are written out here, not read from the solution manifold, so the
     ``aj4`` cross-check compares two independent transcriptions.
     """
@@ -116,6 +117,8 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     zbwb2 = two * (t_zb * t_wb)
 
     delta = _det2(t_zb, t_wb, t_zzb, t_zwb)
+    py = zb2 * t_zwbwb - zbwb2 * t_zzbwb + wb2 * t_zzbzb
+    px = zb2 * t_wbwb - zbwb2 * t_zbwb + wb2 * t_zbzb
     num = (
         delta
         * (
@@ -123,18 +126,8 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
             - t_zzzb.derive("wb") * zbwb2
             + t_zzwb.derive("wb") * zb2
         )
-        + t_zzzb
-        * (
-            zb2 * _det2(t_wb, t_wbwb, t_zwb, t_zwbwb)
-            - zbwb2 * _det2(t_wb, t_zbwb, t_zwb, t_zzbwb)
-            + wb2 * _det2(t_wb, t_zbzb, t_zwb, t_zzbzb)
-        )
-        + t_zzwb
-        * (
-            -(zb2 * _det2(t_zb, t_wbwb, t_zzb, t_zwbwb))
-            + zbwb2 * _det2(t_zb, t_zbwb, t_zzb, t_zzbwb)
-            - wb2 * _det2(t_zb, t_zbzb, t_zzb, t_zzbzb)
-        )
+        + py * _det2(t_zzzb, t_zzwb, t_zb, t_wb)
+        - px * _det2(t_zzzb, t_zzwb, t_zzb, t_zwb)
     )
     return num.div(delta.pow(3))
 

@@ -8,188 +8,51 @@ Grammar (whitespace insignificant, no implicit multiplication)::
     base     := rational | 'i' | var | '(' expr ')'
     rational := uint ('/' uint)?
 
-Inputs are parsed into a small AST and then evaluated into a
-``TruncSeries`` over a declared variable list at a given order.
-``render_series`` produces canonical text that parses back to the same
-series (the round-trip property).
+``parse_series`` evaluates the text while it parses it: one recursive
+descent over the tokens builds a ``TruncSeries`` over a declared variable
+list, every value known to the working order and held in the series'
+cleared form.  Multiplying by a value of one term shifts and scales the
+other side, so a term of numbers, ``i`` and variable powers stays one
+numerator entry; only two values of several terms are convolved, and the
+terms of a sum are added into one map.  A character outside the grammar
+is reported before anything else; every other error is raised where the
+descent meets it, so errors come in text order, each with its offset in
+the text.  ``render_series`` produces canonical text that parses back to
+the same series (the round-trip property).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from operator import add
+from typing import Optional, Sequence
 
 from .errors import ExprSyntaxError
 from .rational import GaussRat
-from .series import TruncSeries
+from .series import TruncSeries, _combine, _convolve, _nonzero
 
 MAX_EXPONENT = 9999
-MAX_DEPTH = 100  # parenthesis nesting; keeps parse and evaluation off the recursion limit
+MAX_DEPTH = 100  # parenthesis nesting; keeps the descent off the recursion limit
 # size of any numerator or denominator while evaluating, in the cleared form;
 # keeps input far below the 4,300-digit limit of rendering an int
 MAX_COEFF_BITS = 4096
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S)")
 
 
-# -- AST ---------------------------------------------------------------------
-# Sums and products are flat, so a long chain of terms or factors costs no
-# recursion depth; only parentheses nest, and their depth is bounded.
-
-@dataclass(frozen=True)
-class Number:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImaginaryUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # (negated, node) pairs, folded left to right
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple  # folded left to right
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-Node = Union[Number, ImaginaryUnit, Variable, Sum, Product, Pow]
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items = []  # (kind, value, pos)
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            if m.group(1) is not None:
-                self.items.append(("int", m.group(1), pos))
-            elif m.group(2) is not None:
-                self.items.append(("name", m.group(2), pos))
-            else:
-                self.items.append(("op", m.group(3), pos))
-            pos = m.end()
-        self.i = 0
-        self.depth = 0
-
-    def peek(self):
-        if self.i < len(self.items):
-            return self.items[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-
-def parse_expr(text: str) -> Node:
-    """Parse expression text into an AST; raises ExprSyntaxError with position."""
-    toks = _Tokens(text)
-    node = _expr(toks)
-    kind, value, pos = toks.peek()
-    if kind != "eof":
-        raise ExprSyntaxError(f"unexpected {value!r}", pos)
-    return node
-
-
-def _expr(toks: _Tokens) -> Node:
-    kind, value, _ = toks.peek()
-    negated = kind == "op" and value == "-"
-    if negated:
-        toks.next()
-    terms = [(negated, _term(toks))]
-    while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value in "+-":
-            toks.next()
-            terms.append((value == "-", _term(toks)))
-        elif len(terms) == 1 and not negated:
-            return terms[0][1]
-        else:
-            return Sum(tuple(terms))
-
-
-def _term(toks: _Tokens) -> Node:
-    factors = [_factor(toks)]
-    while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value == "*":
-            toks.next()
-            factors.append(_factor(toks))
-        elif len(factors) == 1:
-            return factors[0]
-        else:
-            return Product(tuple(factors))
-
-
-def _factor(toks: _Tokens) -> Node:
-    node = _base(toks)
-    kind, value, pos = toks.peek()
-    if kind == "op" and value == "^":
-        toks.next()
-        kind, value, pos = toks.next()
-        if kind != "int":
-            raise ExprSyntaxError("exponent must be an unsigned integer", pos)
-        exponent = int(value)
-        if exponent > MAX_EXPONENT:
-            raise ExprSyntaxError(f"exponent {exponent} exceeds {MAX_EXPONENT}", pos)
-        return Pow(node, exponent)
-    return node
-
-
-def _base(toks: _Tokens) -> Node:
-    kind, value, pos = toks.next()
-    if kind == "int":
-        num = int(value)
-        kind2, value2, _ = toks.peek()
-        if kind2 == "op" and value2 == "/":
-            toks.next()
-            kind3, value3, pos3 = toks.next()
-            if kind3 != "int" or int(value3) == 0:
-                raise ExprSyntaxError("denominator must be a positive integer", pos3)
-            return Number(Fraction(num, int(value3)))
-        return Number(Fraction(num))
-    if kind == "name":
-        if value == "i":
-            return ImaginaryUnit()
-        return Variable(value)
-    if kind == "op" and value == "(":
-        toks.depth += 1
-        if toks.depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
-        node = _expr(toks)
-        kind2, value2, pos2 = toks.next()
-        if not (kind2 == "op" and value2 == ")"):
-            raise ExprSyntaxError("expected ')'", pos2)
-        toks.depth -= 1
-        return node
-    raise ExprSyntaxError("expected a number, variable, 'i' or '('", pos)
-
-
-# -- evaluation -----------------------------------------------------------------
+def _tokens(text: str) -> list:
+    """``(kind, value, pos)`` triples ending in an ``eof`` one; ``kind`` is
+    ``int``, ``name`` or the operator character itself."""
+    items = []
+    for m in _TOKEN.finditer(text):
+        value = m.group()
+        group = m.lastindex
+        if group == 4:
+            raise ExprSyntaxError(f"unexpected character {value!r}", m.start())
+        items.append(("int" if group == 1 else "name" if group == 2 else value, value, m.start()))
+    items.append(("eof", "", len(text)))
+    return items
 
 
 def _bounded(f: TruncSeries) -> TruncSeries:
@@ -198,49 +61,131 @@ def _bounded(f: TruncSeries) -> TruncSeries:
     return f
 
 
-def _power(base: TruncSeries, n: int, order: int) -> TruncSeries:
-    """``base^n`` at ``order`` by repeated squaring, each step truncated."""
-    if n == 0:
-        return TruncSeries.one(base.vars, order)
-    if base.valuation() * n >= order:
-        return TruncSeries.zero(base.vars, order)
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else _bounded((result * base).truncate(order))
-        n >>= 1
-        if not n:
-            return result
-        base = _bounded((base * base).truncate(order))
+def _times(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
+    """``f * g`` below ``order``: when one side has a single term, the other
+    is shifted and scaled by it; two sides of several terms are convolved."""
+    if len(f._num) == 1:
+        f, g = g, f
+    if len(g._num) == 1:
+        ((shift, (a, b)),) = g._num.items()
+        d = sum(shift)
+        num = {
+            tuple(map(add, mono, shift)): (re * a - im * b, re * b + im * a)
+            for mono, (re, im) in f._num.items()
+            if sum(mono) + d < order
+        }
+    else:
+        num = _nonzero(_convolve(f._num, g._num, order))
+    return TruncSeries._reduced(f.vars, order, f._den * g._den, num)
 
 
-def eval_ast(node: Node, vars: Sequence[str], order: int) -> TruncSeries:
-    """Evaluate at ``order``: every node is known to at least ``order``, so
-    each product step is truncated to it."""
-    vars = tuple(vars)
-    if isinstance(node, Number):
-        return _bounded(TruncSeries.constant(GaussRat.of(node.value), vars, order))
-    if isinstance(node, ImaginaryUnit):
-        return TruncSeries.constant(GaussRat.i(), vars, order)
-    if isinstance(node, Variable):
-        if node.name not in vars:
-            raise ExprSyntaxError(f"undeclared variable {node.name!r}", 0)
-        return TruncSeries.variable(node.name, vars, order)
-    if isinstance(node, Sum):
-        total = None
-        for negated, child in node.terms:
-            value = eval_ast(child, vars, order)
-            value = -value if negated else value
-            total = value if total is None else total + value
-        return _bounded(total)
-    if isinstance(node, Product):
-        result = eval_ast(node.factors[0], vars, order)
-        for child in node.factors[1:]:
-            result = _bounded((result * eval_ast(child, vars, order)).truncate(order))
-        return result
-    if isinstance(node, Pow):
-        return _power(eval_ast(node.base, vars, order), node.exponent, order)
-    raise TypeError(f"unknown AST node {node!r}")
+class _Descent:
+    """The evaluating recursive descent over the tokens of one text.
+
+    Each method consumes its rule's tokens and returns the rule's value;
+    every value met is checked against ``MAX_COEFF_BITS``, except a
+    variable, ``i`` and a power's base passed through unchanged.
+    """
+
+    def __init__(self, text: str, vars: tuple, order: int):
+        self.tokens = _tokens(text)
+        self.zero = TruncSeries.zero(vars, order)  # validates the space and order
+        self.i = 0
+        self.depth = 0
+        self.vars = vars
+        self.order = order
+
+    def constant(self, re: int, im: int, den: int) -> TruncSeries:
+        if not (re or im) or not self.order:
+            return self.zero
+        return TruncSeries._reduced(self.vars, self.order, den, {(0,) * len(self.vars): (re, im)})
+
+    def expr(self) -> TruncSeries:
+        tokens = self.tokens
+        negated = tokens[self.i][0] == "-"
+        if negated:
+            self.i += 1
+        parts = [(self.term(), -1 if negated else 1)]
+        while True:
+            kind = tokens[self.i][0]
+            if kind == "+" or kind == "-":
+                self.i += 1
+                parts.append((self.term(), -1 if kind == "-" else 1))
+            elif len(parts) == 1 and not negated:
+                return parts[0][0]
+            else:
+                return _bounded(_combine(parts))
+
+    def term(self) -> TruncSeries:
+        value = self.factor()
+        while self.tokens[self.i][0] == "*":
+            self.i += 1
+            value = _bounded(_times(value, self.factor(), self.order))
+        return value
+
+    def factor(self) -> TruncSeries:
+        base = self.base()
+        if self.tokens[self.i][0] != "^":
+            return base
+        kind, value, pos = self.tokens[self.i + 1]
+        self.i += 2
+        if kind != "int":
+            raise ExprSyntaxError("exponent must be an unsigned integer", pos)
+        exponent = int(value)
+        if exponent > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent {exponent} exceeds {MAX_EXPONENT}", pos)
+        return self.power(base, exponent)
+
+    def base(self) -> TruncSeries:
+        kind, value, pos = self.tokens[self.i]
+        self.i += 1
+        if kind == "int":
+            num = int(value)
+            den = 1
+            if self.tokens[self.i][0] == "/":
+                kind, value, pos = self.tokens[self.i + 1]
+                self.i += 2
+                den = int(value) if kind == "int" else 0
+                if not den:
+                    raise ExprSyntaxError("denominator must be a positive integer", pos)
+            return _bounded(self.constant(num, 0, den))
+        if kind == "name":
+            if value == "i":
+                return self.constant(0, 1, 1)
+            if value not in self.vars:
+                raise ExprSyntaxError(f"undeclared variable {value!r}", pos)
+            if self.order < 2:
+                return self.zero
+            mono = tuple(int(v == value) for v in self.vars)
+            return TruncSeries._make(self.vars, self.order, 1, {mono: (1, 0)})
+        if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+            value = self.expr()
+            kind, _, pos = self.tokens[self.i]
+            self.i += 1
+            if kind != ")":
+                raise ExprSyntaxError("expected ')'", pos)
+            self.depth -= 1
+            return value
+        raise ExprSyntaxError("expected a number, variable, 'i' or '('", pos)
+
+    def power(self, base: TruncSeries, n: int) -> TruncSeries:
+        """``base^n`` by repeated squaring, zero at once when its
+        valuation reaches the order."""
+        if n == 0:
+            return self.constant(1, 0, 1)
+        if base.valuation() * n >= self.order:
+            return self.zero
+        result = None
+        while True:
+            if n & 1:
+                result = base if result is None else _bounded(_times(result, base, self.order))
+            n >>= 1
+            if not n:
+                return result
+            base = _bounded(_times(base, base, self.order))
 
 
 def parse_series(text: str, vars: Sequence[str], order: int) -> TruncSeries:
@@ -248,9 +193,15 @@ def parse_series(text: str, vars: Sequence[str], order: int) -> TruncSeries:
 
     Every numerator and the denominator of the result, and of each
     intermediate value, has at most ``MAX_COEFF_BITS`` bits; larger input
-    raises ``ValueError``.
+    raises ``ValueError``.  Malformed text raises ``ExprSyntaxError`` with
+    the offset of the first error in the text.
     """
-    return eval_ast(parse_expr(text), vars, order).truncate(order)
+    descent = _Descent(text, tuple(vars), order)
+    value = descent.expr()
+    kind, rest, pos = descent.tokens[descent.i]
+    if kind != "eof":
+        raise ExprSyntaxError(f"unexpected {rest!r}", pos)
+    return value
 
 
 # -- rendering ------------------------------------------------------------------

@@ -21,3 +21,39 @@ def series3(min_order=4, max_order=8):
         st.dictionaries(st.sampled_from(_MONOS3), gauss_rats, max_size=6),
         st.integers(min_order, max_order),
     )
+
+
+def check_theta(rng, refute, order=12):
+    """A Theta of the ``check`` benchmark family, as text in graded-lex order.
+
+    ``Theta = -wb U(z)/conj(U)(zb) + U(z) H(z, zb)`` with ``U = 1 + u z`` and
+    ``H = z zb + P(z) + conj(P)(zb)``, ``P`` of degree 2..4: the image of the
+    Heisenberg sphere under ``(z, w) -> (z, U w + U P)``.  With ``refute``,
+    ``H`` also gets ``a z^2 zb^2 + c z^2 zb^4 + conj(c) z^4 zb^2``, ``c != 0``,
+    which makes the image non-spherical.  Coefficients are ``+-1 +- i``,
+    real on the diagonal.
+    """
+    from crsphere.parsing import parse_series, render_series
+
+    def gauss(real=False):
+        return rng.choice((-1, 1)), 0 if real else rng.choice((-1, 1))
+
+    def text(c, im_sign=1):
+        im = im_sign * c[1]
+        return f"({c[0]} {'-' if im < 0 else '+'} {abs(im)}*i)"
+
+    u = gauss()
+    h = ["z*zb"]
+    for k in (2, 3, 4):
+        c = gauss()
+        h += [f"{text(c)}*z^{k}", f"{text(c, -1)}*zb^{k}"]
+    if refute:
+        h.append(f"{text(gauss(real=True))}*z^2*zb^2")
+        c = gauss()
+        h += [f"{text(c)}*z^2*zb^4", f"{text(c, -1)}*z^4*zb^2"]
+    def series(text):
+        return parse_series(text, VARS3, order)
+
+    big_u = series(f"1 + {text(u)}*z")
+    theta = big_u * series(" + ".join(h)) - (series("wb") * big_u).div(series(f"1 + {text(u, -1)}*zb"))
+    return render_series(theta)

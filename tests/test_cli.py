@@ -255,6 +255,36 @@ def test_usage_error_exit_one():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["check", "--theta=-wb + z*zb", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check", "--theta=-wb + z*zb", "--order", "x"], "argument --order: invalid int value: 'x'"),
+    ],
+)
+def test_argument_error_is_one_error_report(argv, message):
+    proc = run_cli(argv, timeout=30)
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)  # exactly one document
+    assert out["verdict"] == "error"
+    assert out["message"].startswith(message)
+    assert proc.stderr == ""
+
+
+def test_undeclared_variable_reports_its_offset(capsys):
+    # the offset of ``q``; errors come in text order, so the missing ')' after
+    # it is not the one reported
+    code = main(["check", "--theta=-wb + z*q + (zb", "--order", "7"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        '{"verdict":"error","tested_order":0,"witness_monomial":null,'
+        '"witness_coefficient":null,"delta_at_origin":null,"timings":{},'
+        '"message":"undeclared variable \'q\' (at position 8)"}\n'
+    )
+
+
 def test_derive_ode_payload(capsys):
     code = main(["derive-ode", "--theta", "-wb + z*zb", "--order", "8"])
     out = json.loads(capsys.readouterr().out)

@@ -34,7 +34,7 @@ from crsphere.selftest import pipeline_equivalence, transferred_i1
 from crsphere.series import TruncSeries
 from crsphere.transfer import OdeRhs, SolutionManifold, apply_dyx, dual_manifold
 
-from conftest import gauss_rats
+from conftest import check_theta, gauss_rats
 
 ODE_VARS = ("x", "y", "yx")
 
@@ -143,9 +143,17 @@ def _image(order):
 def test_factored_aj4_matches_unfactored_transcription():
     dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), 12)
     dense = to_complex_defining(RealGraph(dense_phi), 12)
-    for d in (heisenberg(12), _image(12), dense):
+    images = [transform_defining(heisenberg(12), b, 12) for b in corpus_biholos(12)]
+    for d in (heisenberg(12), *images, dense):
         # ``==`` compares the terms and the known order
         assert inv._aj4_direct(d.theta) == _aj4_unfactored(d.theta)
+
+
+def test_factored_aj4_matches_unfactored_on_check_inputs():
+    rng = random.Random(9)
+    for k in range(20):
+        theta = parse_series(check_theta(rng, refute=k % 3 != 0), THETA_VARS, 12)
+        assert inv._aj4_direct(theta) == _aj4_unfactored(theta)
 
 
 _MONOS_THETA = [m for m in itertools.product(range(4), repeat=3) if 2 <= sum(m) <= 4]
@@ -190,8 +198,9 @@ def test_verdict_does_not_run_the_second_jet_transfer(monkeypatch):
 
 # multiplies in one order-12 verdict on ``_image(12)``: 224 while ``aj4`` was
 # cross-checked through the three-species second-jet transfer, 127 after,
-# 46 since ``substitute`` convolves grouped terms without ``__mul__``
-VERDICT_MULTIPLIES = 46
+# 46 since ``substitute`` convolves grouped terms without ``__mul__``, 38 since
+# ``_aj4_direct`` factors its third-order groups through two contractions
+VERDICT_MULTIPLIES = 38
 
 
 def test_verdict_multiply_count(monkeypatch):

@@ -2,15 +2,27 @@
 
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_parser
 from crsphere.errors import ExprSyntaxError
 from crsphere.fixtures import random_series
-from crsphere.parsing import MAX_COEFF_BITS, MAX_DEPTH, parse_expr, parse_series, render_series
+from crsphere.parsing import (
+    MAX_COEFF_BITS,
+    MAX_DEPTH,
+    MAX_EXPONENT,
+    parse_series,
+    render_series,
+)
 from crsphere.rational import GaussRat
 from crsphere.report import Report, render_report
 from crsphere.series import TruncSeries
+
+from conftest import check_theta
 
 VARS = ("z", "zb", "wb")
 
@@ -38,20 +50,31 @@ def test_rationals_and_powers():
 
 def test_no_implicit_multiplication():
     with pytest.raises(ExprSyntaxError):
-        parse_expr("2i")
+        parse_series("2i", VARS, 10)
     with pytest.raises(ExprSyntaxError):
-        parse_expr("2 z")
+        parse_series("2 z", VARS, 10)
 
 
 def test_syntax_error_carries_position():
     with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("z + ^2")
+        parse_series("z + ^2", VARS, 10)
     assert err.value.pos == 4
 
 
 def test_undeclared_variable():
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprSyntaxError) as err:
         parse_series("z + q", VARS, 10)
+    assert str(err.value) == "undeclared variable 'q' (at position 4)"  # the offset of q
+
+
+def test_errors_come_in_text_order():
+    # the first error in the text is reported, whatever its kind
+    with pytest.raises(ExprSyntaxError, match=r"^undeclared variable 'q' \(at position 4\)$"):
+        parse_series("z + q + (zb", VARS, 10)
+    with pytest.raises(ValueError, match="bits"):
+        parse_series(f"2^{MAX_COEFF_BITS}*z + (zb", VARS, 10)
+    with pytest.raises(ExprSyntaxError, match=r"^expected a number, variable, 'i' or '\(' \(at position 10\)$"):
+        parse_series(f"z + (zb + ) * 2^{MAX_COEFF_BITS}", VARS, 10)
 
 
 def test_exponent_overflow():
@@ -62,7 +85,7 @@ def test_exponent_overflow():
 def test_nesting_deeper_than_limit_is_a_syntax_error():
     text = "(" * (MAX_DEPTH + 1) + "z" + ")" * (MAX_DEPTH + 1)
     with pytest.raises(ExprSyntaxError) as err:
-        parse_expr(text)
+        parse_series(text, VARS, 10)
     assert err.value.pos == MAX_DEPTH
 
 
@@ -155,3 +178,144 @@ def test_powers_are_evaluated_at_the_working_order():
     want = parse_series("1 + z - 1/3*zb", VARS, 60).pow(40) * parse_series("z + wb", VARS, 60).pow(3)
     assert f == want.truncate(8)
     assert parse_series("(z + zb + wb)^8", VARS, 8).is_zero()
+
+
+# -- the evaluating descent against the reference parser --------------------------
+
+_SPACES = (VARS, ("x", "y", "v"), ("z", "zb"), ("a",))
+_UNDECLARED = ("q", "w", "zz", "x1")
+# big coefficients, each met as a value of its own: 2^4096 is one bit over
+_BIG = ("2^4000", "2^200", "7^1400", "(1/3)^2000", f"2^{MAX_COEFF_BITS}", f"{2 ** 4095}")
+
+
+def _base(draw, ctx, depth):
+    """A ``base`` of the grammar, and its kind: ``number``, ``big`` (a
+    factor that takes no exponent), ``group`` or ``atom``."""
+    kind = draw(st.integers(0, 7 if depth < 2 else 4))
+    if kind == 0:
+        if ctx["big"] and draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(_BIG)), "big"
+        return str(draw(st.integers(0, 30))), "number"
+    if kind == 1:
+        return f"{draw(st.integers(0, 12))}/{draw(st.integers(1, 9))}", "number"
+    if kind == 2:
+        return "i", "atom"
+    if kind in (3, 4):
+        if draw(st.integers(0, 24)) == 0:
+            ctx["undeclared"] = True
+            return draw(st.sampled_from([v for v in _UNDECLARED if v not in ctx["vars"]])), "atom"
+        return draw(st.sampled_from(ctx["vars"])), "atom"
+    return f"({_expr(draw, ctx, depth + 1)})", "group"
+
+
+def _factor(draw, ctx, depth):
+    base, kind = _base(draw, ctx, depth)
+    exponent = draw(st.sampled_from((None, None, None, 0, 1, 2, 3, 5, MAX_EXPONENT)))
+    if exponent == MAX_EXPONENT and (kind == "group" or kind == "number" and not ctx["big"]):
+        exponent = 4  # keep the squarings cheap, and syntax-error cases free of big values
+    return base if exponent is None or kind == "big" else f"{base}^{exponent}"
+
+
+def _term(draw, ctx, depth):
+    if ctx["big"] and depth == 0 and draw(st.integers(0, 6)) == 0:
+        v = draw(st.sampled_from(ctx["vars"]))
+        if draw(st.booleans()):
+            # a monomial truncated away, then multiplied by big values
+            power = ctx["order"] + draw(st.integers(0, 2))
+            bigs = draw(st.lists(st.sampled_from(_BIG), min_size=1, max_size=3))
+            return "*".join([f"{v}^{power}", *bigs])
+        # partial sums over the bound; the total over it only in the last form
+        return draw(st.sampled_from((
+            f"(2^4095*{v} + 2^4095*{v} - 2^4095*{v})",
+            "(2^4095 + 2^4095 - 2^4095)",
+            f"(2^4095*{v} + 2^4095*{v})",
+        )))
+    count = draw(st.integers(1, 3 if depth < 2 else 1))
+    return "*".join(_factor(draw, ctx, depth) for _ in range(count))
+
+
+def _expr(draw, ctx, depth=0):
+    text = ("-" if draw(st.booleans()) else "") + _term(draw, ctx, depth)
+    for _ in range(draw(st.integers(0, 3 if depth < 2 else 1))):
+        text += draw(st.sampled_from((" + ", " - "))) + _term(draw, ctx, depth)
+    return text
+
+
+def _nesting(text):
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+# syntax errors, each given the text and a declared variable
+_SYNTAX_ERRORS = (
+    lambda t, v: t + " +",
+    lambda t, v: t + ")",
+    lambda t, v: "(" + t,
+    lambda t, v: f"{t} {v}",
+    lambda t, v: t + " + $",
+    lambda t, v: f"{t} * {v}^{MAX_EXPONENT + 1}",
+    lambda t, v: "1/0 + " + t,
+    lambda t, v: t + " - 2^",
+    lambda t, v: "^2 + " + t,
+    lambda t, v: f"{t} * {v}/2",
+    lambda t, v: "(" * (MAX_DEPTH + 1 - _nesting(t)) + t + ")" * (MAX_DEPTH + 1 - _nesting(t)),
+)
+
+
+@st.composite
+def _inputs(draw):
+    """``(text, vars, order, single)``: valid grammar with big values, or
+    with no big value and one syntax error; ``single`` when at most one
+    error is in the text, or all of its errors are met while evaluating."""
+    vars_ = draw(st.sampled_from(_SPACES))
+    order = draw(st.integers(0, 16))
+    big = draw(st.integers(0, 2)) > 0
+    ctx = {"vars": vars_, "order": order, "big": big, "undeclared": False}
+    text = _expr(draw, ctx)
+    if big:
+        if draw(st.integers(0, 4)) == 0:  # nested exactly as deep as allowed
+            pad = MAX_DEPTH - _nesting(text)
+            text = "(" * pad + text + ")" * pad
+        return text, vars_, order, True
+    text = draw(st.sampled_from(_SYNTAX_ERRORS))(text, vars_[0])
+    return text, vars_, order, not ctx["undeclared"]
+
+
+def _outcome(parse, text, vars_, order):
+    try:
+        f = parse(text, vars_, order)
+    except (ExprSyntaxError, ValueError) as exc:
+        # the reference reports every undeclared variable at position 0
+        message = re.sub(r"^(undeclared variable '\w+') \(at position \d+\)$", r"\1", str(exc))
+        return type(exc), message
+    return f.vars, f.order, f._den, f._num
+
+
+@settings(max_examples=300, deadline=None)
+@given(_inputs())
+def test_parse_series_matches_the_reference_parser(case):
+    text, vars_, order, single = case
+    got = _outcome(parse_series, text, vars_, order)
+    want = _outcome(reference_parser.parse_series, text, vars_, order)
+    if single or not isinstance(want[0], type):
+        assert got == want
+    else:  # two errors: each parser reports its first, of the same class
+        assert got[0] is want[0]
+
+
+def test_parsing_a_check_theta_multiplies_no_series(monkeypatch):
+    rng = random.Random(5)
+    texts = [check_theta(rng, refute) for refute in (False, True, True)]
+    calls = []
+    mul = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+    for text in texts:
+        assert parse_series(text, VARS, 12) == reference_parser.parse_series(text, VARS, 12)
+        # the reference multiplied once per number, ``i`` and variable
+        assert len(calls) > 100
+        calls.clear()
+        parse_series(text, VARS, 12)
+        assert calls == []
