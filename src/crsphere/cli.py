@@ -68,10 +68,19 @@ class JobConfig:
     timings: bool = False
 
     def __post_init__(self):
-        cap = int(os.environ.get("CRS_MAX_ORDER", str(DEFAULT_ORDER_CAP)))
-        if self.order > cap:
-            self.order = cap
+        raw = os.environ.get("CRS_MAX_ORDER", str(DEFAULT_ORDER_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"CRS_MAX_ORDER={raw!r} is not an integer") from None
         minimum = MIN_ORDER.get(self.command, 4)
+        if self.order > cap:
+            if cap < minimum:
+                raise ValueError(
+                    f"CRS_MAX_ORDER={raw!r} caps order {self.order} below the minimum"
+                    f" {minimum} for {self.command!r}"
+                )
+            self.order = cap
         if self.order < minimum:
             raise ValueError(
                 f"order {self.order} too small for {self.command!r} (minimum {minimum})"
@@ -130,18 +139,18 @@ def run_job(cfg: JobConfig) -> Report:
             raise ValueError("'to-complex' needs a real graphing function (--phi)")
         phi = clock("parse", lambda: parse_series(cfg.phi, GRAPH_VARS, cfg.order))
         d = clock("solve", lambda: to_complex_defining(RealGraph(phi), cfg.order))
-        delta, _ = levi_delta(d)
+        delta, _ = clock("levi", lambda: levi_delta(d))
         return Report(
             VERDICT_OK,
             tested_order=d.theta.order,
             delta_at_origin=delta.constant_term(),
             timings=timings,
-            payload={"theta": render_series(d.theta), "rigid": d.rigid},
+            payload={"theta": clock("render", lambda: render_series(d.theta)), "rigid": d.rigid},
         )
 
     if command == "derive-ode":
         d = clock("parse", lambda: _parse_theta(cfg))
-        delta, nondegenerate = levi_delta(d)
+        delta, nondegenerate = clock("levi", lambda: levi_delta(d))
         if not nondegenerate:
             return Report(
                 VERDICT_LEVI_DEGENERATE,
@@ -155,7 +164,10 @@ def run_job(cfg: JobConfig) -> Report:
             tested_order=ode.f.order,
             delta_at_origin=delta.constant_term(),
             timings=timings,
-            payload={"ode_rhs": render_series(ode.f), "ode_vars": list(ode.f.vars)},
+            payload={
+                "ode_rhs": clock("render", lambda: render_series(ode.f)),
+                "ode_vars": list(ode.f.vars),
+            },
         )
 
     if command == "invariants":
@@ -215,13 +227,13 @@ def run_job(cfg: JobConfig) -> Report:
         conj = d.theta.conjugate({"z": "zb", "zb": "z", "wb": "wb"}).rename(
             {"zb": "x", "z": "a", "wb": "b"}
         )
-        koppisch = koppisch_check(d.manifold, cfg.order)
+        koppisch = clock("koppisch", lambda: koppisch_check(d.manifold, cfg.order))
         return Report(
             VERDICT_OK,
             tested_order=dual.q.order,
             timings=timings,
             payload={
-                "dual": render_series(dual.q),
+                "dual": clock("render", lambda: render_series(dual.q)),
                 "dual_vars": list(dual.q.vars),
                 "conjugate_equal": (dual.q - conj).is_zero(),
                 "koppisch": {

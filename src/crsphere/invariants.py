@@ -293,6 +293,7 @@ def sphericality_verdict(
             timings=timings,
         )
 
+    clock("aj4", lambda: aj4(work))  # kept on ``work``; timed apart from aj6
     obstruction = clock("aj6", lambda: aj6(work))
     if obstruction.is_zero():
         return Report(

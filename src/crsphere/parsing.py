@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import ExprSyntaxError
 from .rational import GaussRat
-from .series import TruncSeries, _combine, _convolve, _nonzero
+from .series import TruncSeries, _combine, _product
 
 MAX_EXPONENT = 9999
 MAX_DEPTH = 100  # parenthesis nesting; keeps the descent off the recursion limit
@@ -66,16 +66,15 @@ def _times(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     is shifted and scaled by it; two sides of several terms are convolved."""
     if len(f._num) == 1:
         f, g = g, f
-    if len(g._num) == 1:
-        ((shift, (a, b)),) = g._num.items()
-        d = sum(shift)
-        num = {
-            tuple(map(add, mono, shift)): (re * a - im * b, re * b + im * a)
-            for mono, (re, im) in f._num.items()
-            if sum(mono) + d < order
-        }
-    else:
-        num = _nonzero(_convolve(f._num, g._num, order))
+    if len(g._num) != 1:
+        return _product(f, g, order)
+    ((shift, (a, b)),) = g._num.items()
+    d = sum(shift)
+    num = {
+        tuple(map(add, mono, shift)): (re * a - im * b, re * b + im * a)
+        for mono, (re, im) in f._num.items()
+        if sum(mono) + d < order
+    }
     return TruncSeries._reduced(f.vars, order, f._den * g._den, num)
 
 

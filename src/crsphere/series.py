@@ -26,17 +26,29 @@ gcd 1, and the zero series has ``_den == 1``; it is canonical, so ``==``
 compares it directly.  Every operation works on ints, and ``GaussRat`` is
 built only at the boundary: the constructor clears its input, and
 ``terms``, ``coeff``, ``constant_term``, ``lowest_term`` and
-``sorted_terms`` build fresh values on each call.  The kernel's helpers
-are private: the benchmark's tracer wraps every public function of this
-module, and a span per helper call would change the spans it counts.
+``sorted_terms`` build fresh values on each call.
+
+Packed keys: ``*``, ``div`` and ``substitute`` pack their operands once,
+work on packed rows and unpack their result once.  Packing at working
+order ``K`` first drops every term of degree ``>= K``, then writes a
+monomial as one int whose digits base ``K`` are its degree followed by
+its exponents.  Sorted keys are in graded-lex order, and adding two keys
+multiplies the monomials with no carry while the product's degree is
+below ``K``; a term at or above ``K`` would hold an exponent that is not
+a digit, which is why it is dropped before packing.  The convolution
+visits, for each left row of degree ``d``, only the right rows of degree
+below ``K - d``.  The kernel's helpers are private: the benchmark's
+tracer wraps every public function of this module, and a span per
+helper call would change the spans it counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .errors import ArityError, CompositionError, NonUnitError
@@ -54,40 +66,69 @@ def graded_lex_key(mono: Mono) -> tuple:
     return (sum(mono), mono)
 
 
-def _convolve(left: dict, right: dict, order: int, acc: Optional[dict] = None) -> dict:
-    """Gaussian-integer product of two numerator maps below ``order``.
+def _pack(num: dict, order: int) -> list:
+    """The terms of ``num`` below ``order`` as ``(key, re, im)`` rows sorted
+    by key, the degree and then the exponents as digits base ``order``."""
+    rows = []
+    for mono, (re, im) in num.items():
+        key = sum(mono)
+        if key < order:
+            for e in mono:
+                key = key * order + e
+            rows.append((key, re, im))
+    rows.sort(key=itemgetter(0))
+    return rows
 
-    Returns ``{mono: [re, im]}``, zeros included; no gcd is taken inside
-    the loop.  With ``acc`` the product is added into that accumulator,
-    which is returned.
+
+def _convolve(left: list, right: list, order: int, top: int, acc: dict) -> dict:
+    """Add the Gaussian-integer product of two packed row lists below
+    ``order`` into ``acc``, ``{key: [re, im]}``, zeros included, and return
+    it; ``top`` is the place value of the degree digit.  Both lists are in
+    key order (left rows of one degree may come in any order): each left
+    row meets only the right prefix of degree below ``order`` minus its own.
     """
-    if acc is None:
-        acc = {}
-    rows = [(m, sum(m), re, im) for m, (re, im) in right.items()]
-    for m1, (r1, i1) in left.items():
-        d1 = sum(m1)
-        for m2, d2, r2, i2 in rows:
-            if d1 + d2 >= order:
-                continue
-            mono = tuple(map(add, m1, m2))
-            slot = acc.get(mono)
+    keys = [row[0] for row in right]
+    for k1, r1, i1 in left:
+        n = bisect_left(keys, (order - k1 // top) * top)
+        if not n:
+            break  # the left rows come by degree: the later ones meet none
+        for k2, r2, i2 in islice(right, n):
+            k = k1 + k2
+            slot = acc.get(k)
             if slot is None:
-                acc[mono] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+                acc[k] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
             else:
                 slot[0] += r1 * r2 - i1 * i2
                 slot[1] += r1 * i2 + i1 * r2
     return acc
 
 
+def _rows(acc: dict) -> list:
+    """The nonzero accumulated terms of ``_convolve`` as sorted rows."""
+    return sorted((k, re, im) for k, (re, im) in acc.items() if re or im)
+
+
+def _unpack(acc: dict, arity: int, order: int) -> dict:
+    """The nonzero packed terms of ``acc`` as ``{mono: (re, im)}``."""
+    places = [order**i for i in range(arity - 1, -1, -1)]
+    return {
+        tuple([key // place % order for place in places]): (re, im)
+        for key, (re, im) in acc.items()
+        if re or im
+    }
+
+
+def _product(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
+    """``f * g`` below ``order``, over the product of their denominators."""
+    arity = len(f.vars)
+    acc = _convolve(_pack(f._num, order), _pack(g._num, order), order, order**arity, {})
+    return TruncSeries._reduced(f.vars, order, f._den * g._den, _unpack(acc, arity, order))
+
+
 def _over(c: GaussRat, den: int) -> tuple:
     """The Gaussian-integer numerator of ``c`` over ``den``, a common
     multiple of its denominators."""
     return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
-
-
-def _nonzero(acc: dict) -> dict:
-    """The nonzero accumulated terms of ``_convolve`` as ``(re, im)`` pairs."""
-    return {mono: (re, im) for mono, (re, im) in acc.items() if re or im}
 
 
 def _combine(parts: list) -> TruncSeries:
@@ -297,8 +338,7 @@ class TruncSeries:
             other.order + self.valuation(),
             self.order + other.order,
         )
-        num = _nonzero(_convolve(self._num, other._num, order))
-        return TruncSeries._reduced(self.vars, order, self._den * other._den, num)
+        return _product(self, other, order)
 
     def __rmul__(self, other) -> TruncSeries:
         if isinstance(other, GaussRat):
@@ -374,13 +414,12 @@ class TruncSeries:
             if (0,) * im.arity in im._num:
                 raise CompositionError(f"image for {name!r} has a nonzero constant term")
             order = min(order, im.order)
-        subbed = []  # (source slot, denominator, image numerators below the order)
+        subbed = []  # (source slot, denominator, packed image rows)
         shift = []  # (source slot, target slot) of each pass-through variable
         for i, v in enumerate(self.vars):
             if v in images:
                 im = images[v]
-                below = {m: pair for m, pair in im._num.items() if sum(m) < order}
-                subbed.append((i, im._den, below))
+                subbed.append((i, im._den, _pack(im._num, order)))
             else:
                 if v not in target:
                     raise ArityError(f"variable {v!r} absent from target space {target}")
@@ -400,33 +439,35 @@ class TruncSeries:
         common = self._den
         for k, (_, den, _) in enumerate(subbed):
             common *= den ** max((key[k] for key in groups), default=0)
+        arity = len(target)
+        top = order**arity
         acc: dict = {}
 
-        def expand(keys: list, level: int, product: dict, den: int) -> None:
+        def expand(keys: list, level: int, product: list, den: int) -> None:
             # ``keys`` share their first ``level`` exponents, whose image
-            # powers multiply to ``product`` over ``den``
+            # powers multiply to the packed ``product`` over ``den``
             if level == len(subbed):
-                part = groups[keys[0]]
+                part = _pack(groups[keys[0]], order)
                 scale = common // den
                 if scale != 1:
-                    part = {m: (re * scale, im * scale) for m, (re, im) in part.items()}
-                _convolve(part, product, order, acc)
+                    part = [(k, re * scale, im * scale) for k, re, im in part]
+                _convolve(part, product, order, top, acc)
                 return
             _, image_den, image = subbed[level]
             power = 0
             for e, sub in groupby(keys, itemgetter(level)):
                 while power < e:
-                    product = _nonzero(_convolve(product, image, order))
+                    product = _rows(_convolve(product, image, order, top, {}))
                     den *= image_den
                     power += 1
                 expand(list(sub), level + 1, product, den)
 
         if groups:
-            expand(sorted(groups), 0, {(0,) * len(target): (1, 0)}, self._den)
+            expand(sorted(groups), 0, [(0, 1, 0)], self._den)
         # the closure refers to itself: break that cycle, so the groups and
         # image products it holds are freed now, not at the next collection
         del expand
-        return TruncSeries._reduced(target, order, common, _nonzero(acc))
+        return TruncSeries._reduced(target, order, common, _unpack(acc, arity, order))
 
     def div(self, g: TruncSeries) -> TruncSeries:
         """Divide by a unit series, degree by degree; exact to min(Kf, Kg)."""
@@ -437,43 +478,46 @@ class TruncSeries:
         order = min(self.order, g.order)
         cr, ci = g._num[origin]
         norm = cr * cr + ci * ci
-        gplus = {m: pair for m, pair in g._num.items() if m != origin}
+        top = order**self.arity
+        # the origin's key is 0, so it is the first row when there are any
+        gplus = _pack(g._num, order)[1:]
         # With f = F/Df and g = (c + G)/Dg, G the terms of positive degree,
         # f/g = Dg/Df * q for q = F/(c + G).  Its degree-d part q_d is kept
         # as the Gaussian integers N^(d+1) q_d, N = |c|^2, since dividing by
         # c is multiplying by conj(c)/N; rest[d] holds N^d times the degree-d
-        # part of F minus every (G q_e)_d, e < d, found so far.
+        # part of F minus every (G q_e)_d, e < d, found so far.  Both are
+        # keyed by packed monomials.
         powers = [norm**k for k in range(order + 1)]
         rest = [{} for _ in range(order)]
-        for mono, (re, im) in self._num.items():
-            d = sum(mono)
-            if d < order:
-                rest[d][mono] = (re * powers[d], im * powers[d])
-        quotient = []  # (d, N^(d+1) q_d)
+        for key, re, im in _pack(self._num, order):
+            d = key // top
+            rest[d][key] = (re * powers[d], im * powers[d])
+        quotient = []  # (d, rows of N^(d+1) q_d)
         for d in range(order):
-            q = {
-                mono: (re * cr + im * ci, im * cr - re * ci)
-                for mono, (re, im) in rest[d].items()
+            q = [
+                (key, re * cr + im * ci, im * cr - re * ci)
+                for key, (re, im) in rest[d].items()
                 if re or im
-            }
+            ]
             if not q:
                 continue
             quotient.append((d, q))
-            for mono, (re, im) in _convolve(q, gplus, order).items():
-                e = sum(mono)
+            for key, (re, im) in _convolve(q, gplus, order, top, {}).items():
+                e = key // top
                 s = powers[e - d - 1]
                 part = rest[e]
-                old = part.get(mono, (0, 0))
-                part[mono] = (old[0] - re * s, old[1] - im * s)
+                old = part.get(key, (0, 0))
+                part[key] = (old[0] - re * s, old[1] - im * s)
         if not quotient:
             return TruncSeries._make(self.vars, order, 1, {})
-        top = quotient[-1][0]
+        last = quotient[-1][0]
         num = {}
         for d, q in quotient:
-            s = powers[top - d] * g._den
-            for mono, (re, im) in q.items():
-                num[mono] = (re * s, im * s)
-        return TruncSeries._reduced(self.vars, order, self._den * powers[top + 1], num)
+            s = powers[last - d] * g._den
+            for key, re, im in q:
+                num[key] = (re * s, im * s)
+        num = _unpack(num, self.arity, order)
+        return TruncSeries._reduced(self.vars, order, self._den * powers[last + 1], num)
 
     # -- variable-space plumbing ----------------------------------------------
 

@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -12,6 +14,38 @@ _MONOS3 = [m for m in itertools.product(range(5), repeat=3) if sum(m) <= 4]
 fractions_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 gauss_rats = st.builds(GaussRat.of, fractions_small, fractions_small)
+
+_huge = st.integers(-(3**25), 3**25)
+
+# small, purely imaginary, mixed-denominator (p/3 + q/7*i) and large
+# (denominators 3^15..3^21) coefficients
+kernel_rats = st.one_of(
+    gauss_rats,
+    st.builds(lambda q: GaussRat(Fraction(0), q), fractions_small),
+    st.builds(
+        lambda p, q: GaussRat(Fraction(p, 3), Fraction(q, 7)),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+    ),
+    st.builds(
+        lambda p, j, q, k: GaussRat(Fraction(p, 3**j), Fraction(q, 3**k)),
+        _huge,
+        st.integers(15, 21),
+        _huge,
+        st.integers(15, 21),
+    ),
+)
+
+
+def _assert_normalised(f):
+    """The representation contract: one positive denominator with no content
+    in common with the Gaussian-integer numerators, and no zero or
+    out-of-order term."""
+    assert f._den > 0
+    assert gcd(f._den, *(x for pair in f._num.values() for x in pair)) == 1
+    for mono, pair in f._num.items():
+        assert type(pair) is tuple and pair != (0, 0)
+        assert len(mono) == f.arity and sum(mono) < f.order
 
 
 def series3(min_order=4, max_order=8):

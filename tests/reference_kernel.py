@@ -1,0 +1,161 @@
+"""The tuple-keyed convolution that ``crsphere.series`` used before its
+packed-key kernel; the reference for the kernel's tests.
+
+``_convolve`` and ``_nonzero`` are kept as they were.  ``reference_product``,
+``reference_mul``, ``reference_div`` and ``reference_substitute`` are the
+former bodies of the parser's multi-term product, ``TruncSeries.__mul__``,
+``TruncSeries.div`` and ``TruncSeries.substitute`` written over them.
+"""
+
+from __future__ import annotations
+
+from itertools import groupby
+from operator import add, itemgetter
+from typing import Mapping, Optional
+
+from crsphere.errors import ArityError, CompositionError, NonUnitError
+from crsphere.series import TruncSeries
+
+
+def _convolve(left: dict, right: dict, order: int, acc: Optional[dict] = None) -> dict:
+    """Gaussian-integer product of two numerator maps below ``order``.
+
+    Returns ``{mono: [re, im]}``, zeros included; no gcd is taken inside
+    the loop.  With ``acc`` the product is added into that accumulator,
+    which is returned.
+    """
+    if acc is None:
+        acc = {}
+    rows = [(m, sum(m), re, im) for m, (re, im) in right.items()]
+    for m1, (r1, i1) in left.items():
+        d1 = sum(m1)
+        for m2, d2, r2, i2 in rows:
+            if d1 + d2 >= order:
+                continue
+            mono = tuple(map(add, m1, m2))
+            slot = acc.get(mono)
+            if slot is None:
+                acc[mono] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+            else:
+                slot[0] += r1 * r2 - i1 * i2
+                slot[1] += r1 * i2 + i1 * r2
+    return acc
+
+
+def _nonzero(acc: dict) -> dict:
+    """The nonzero accumulated terms of ``_convolve`` as ``(re, im)`` pairs."""
+    return {mono: (re, im) for mono, (re, im) in acc.items() if re or im}
+
+
+def reference_product(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
+    """``f * g`` below ``order``, over the product of their denominators."""
+    num = _nonzero(_convolve(f._num, g._num, order))
+    return TruncSeries._reduced(f.vars, order, f._den * g._den, num)
+
+
+def reference_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+    f._check_space(g)
+    order = min(f.order + g.valuation(), g.order + f.valuation(), f.order + g.order)
+    return reference_product(f, g, order)
+
+
+def reference_substitute(f: TruncSeries, images: Mapping[str, TruncSeries]) -> TruncSeries:
+    spaces = {im.vars for im in images.values()}
+    if len(spaces) > 1:
+        raise ArityError(f"substitution images live in different spaces: {spaces}")
+    target = spaces.pop() if spaces else f.vars
+    order = f.order
+    for name, im in images.items():
+        if name not in f.vars:
+            raise ArityError(f"image given for {name!r}, not a variable of {f.vars}")
+        if (0,) * im.arity in im._num:
+            raise CompositionError(f"image for {name!r} has a nonzero constant term")
+        order = min(order, im.order)
+    subbed = []  # (source slot, denominator, image numerators below the order)
+    shift = []  # (source slot, target slot) of each pass-through variable
+    for i, v in enumerate(f.vars):
+        if v in images:
+            im = images[v]
+            below = {m: pair for m, pair in im._num.items() if sum(m) < order}
+            subbed.append((i, im._den, below))
+        else:
+            if v not in target:
+                raise ArityError(f"variable {v!r} absent from target space {target}")
+            shift.append((i, target.index(v)))
+    groups: dict = {}
+    for mono, pair in f._num.items():
+        if sum(mono) >= order:
+            continue
+        out = [0] * len(target)
+        for i, j in shift:
+            out[j] = mono[i]
+        key = tuple(mono[i] for i, _, _ in subbed)
+        groups.setdefault(key, {})[tuple(out)] = pair
+    common = f._den
+    for k, (_, den, _) in enumerate(subbed):
+        common *= den ** max((key[k] for key in groups), default=0)
+    acc: dict = {}
+
+    def expand(keys: list, level: int, product: dict, den: int) -> None:
+        if level == len(subbed):
+            part = groups[keys[0]]
+            scale = common // den
+            if scale != 1:
+                part = {m: (re * scale, im * scale) for m, (re, im) in part.items()}
+            _convolve(part, product, order, acc)
+            return
+        _, image_den, image = subbed[level]
+        power = 0
+        for e, sub in groupby(keys, itemgetter(level)):
+            while power < e:
+                product = _nonzero(_convolve(product, image, order))
+                den *= image_den
+                power += 1
+            expand(list(sub), level + 1, product, den)
+
+    if groups:
+        expand(sorted(groups), 0, {(0,) * len(target): (1, 0)}, f._den)
+    del expand
+    return TruncSeries._reduced(target, order, common, _nonzero(acc))
+
+
+def reference_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+    f._check_space(g)
+    origin = (0,) * f.arity
+    if origin not in g._num:
+        raise NonUnitError("divisor has zero constant term")
+    order = min(f.order, g.order)
+    cr, ci = g._num[origin]
+    norm = cr * cr + ci * ci
+    gplus = {m: pair for m, pair in g._num.items() if m != origin}
+    powers = [norm**k for k in range(order + 1)]
+    rest = [{} for _ in range(order)]
+    for mono, (re, im) in f._num.items():
+        d = sum(mono)
+        if d < order:
+            rest[d][mono] = (re * powers[d], im * powers[d])
+    quotient = []  # (d, N^(d+1) q_d)
+    for d in range(order):
+        q = {
+            mono: (re * cr + im * ci, im * cr - re * ci)
+            for mono, (re, im) in rest[d].items()
+            if re or im
+        }
+        if not q:
+            continue
+        quotient.append((d, q))
+        for mono, (re, im) in _convolve(q, gplus, order).items():
+            e = sum(mono)
+            s = powers[e - d - 1]
+            part = rest[e]
+            old = part.get(mono, (0, 0))
+            part[mono] = (old[0] - re * s, old[1] - im * s)
+    if not quotient:
+        return TruncSeries._make(f.vars, order, 1, {})
+    top = quotient[-1][0]
+    num = {}
+    for d, q in quotient:
+        s = powers[top - d] * g._den
+        for mono, (re, im) in q.items():
+            num[mono] = (re * s, im * s)
+    return TruncSeries._reduced(f.vars, order, f._den * powers[top + 1], num)

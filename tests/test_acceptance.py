@@ -27,10 +27,7 @@ from crsphere.fixtures import (
     corpus_biholos,
     heisenberg,
     random_gauss,
-    random_hermitian_xi,
-    random_real_graph,
     random_series,
-    random_solvable_q,
     section5_pair,
 )
 from crsphere.invariants import aj4, aj6, koppisch_check, rigid_invariant, sphericality_verdict
@@ -48,6 +45,8 @@ from crsphere.transfer import (
     second_jet_transfer,
     third_jet_check,
 )
+
+from random_inputs import random_hermitian_xi, random_real_graph, random_solvable_q
 
 
 def test_criterion_1_heisenberg_sphere():

@@ -1,9 +1,12 @@
 """CLI contract: exit codes, deterministic JSON, file input, env cap."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -183,6 +186,30 @@ def test_env_order_cap(capsys, monkeypatch):
     assert out["tested_order"] == 2  # capped at 8, minus six derivative orders
 
 
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        ("3", "CRS_MAX_ORDER='3' caps order 8 below the minimum 7 for 'check'"),
+        ("abc", "CRS_MAX_ORDER='abc' is not an integer"),
+    ],
+)
+def test_env_order_cap_errors_name_the_variable(cap, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "crsphere.cli", "check", "--theta=-wb+z*zb", "--order", "8"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "CRS_MAX_ORDER": cap},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        '{"verdict":"error","tested_order":0,"witness_monomial":null,'
+        '"witness_coefficient":null,"delta_at_origin":null,"timings":{},'
+        f'"message":"{message}"}}\n'
+    )
+    assert proc.stderr == ""
+
+
 def test_byte_identical_reports_across_runs():
     args = ["check", "--theta", "-wb + z*zb + z^2*zb^2", "--order", "9"]
     first = run_cli(args)
@@ -217,10 +244,12 @@ def test_report_without_timings_is_pinned(command, capsys):
 @pytest.mark.parametrize(
     "argv, stages",
     [
-        (["check", "--theta", "-wb + z*zb"], {"parse", "reality", "levi", "aj6"}),
-        (["invariants", "--theta", "-wb + z*zb"], {"parse", "reality", "levi", "aj6"}),
-        (["to-complex", "--phi", "x^2 + y^2"], {"parse", "solve"}),
-        (["derive-ode", "--theta", "-wb + z*zb"], {"parse", "eliminate"}),
+        (["check", "--theta", "-wb + z*zb"], {"parse", "reality", "levi", "aj4", "aj6"}),
+        (["invariants", "--theta", "-wb + z*zb"], {"parse", "reality", "levi", "aj4", "aj6"}),
+        (["to-complex", "--phi", "x^2 + y^2"], {"parse", "solve", "levi", "render"}),
+        # a nonzero right-hand side, so that rendering it takes a measurable time
+        (["derive-ode", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "levi", "eliminate", "render"}),
+        (["dual", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "dual", "koppisch", "render"}),
     ],
 )
 def test_timings_are_integer_microseconds(argv, stages, capsys):
@@ -231,6 +260,35 @@ def test_timings_are_integer_microseconds(argv, stages, capsys):
     assert all(type(t) is int for t in timings.values())
     # every stage takes well over a microsecond, so none may round to 0
     assert all(t > 0 for t in timings.values())
+
+
+DENSE_PHI = "x^2 + y^2 + x^2*y*v + v^2*x^2"
+
+
+def _dense_theta(order):
+    """The ``to-complex`` image of the dense real graph, as text."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["to-complex", "--phi", DENSE_PHI, "--order", str(order)]) == 0
+    return json.loads(out.getvalue())["theta"]
+
+
+@pytest.mark.parametrize(
+    "command", ["check", "invariants", "verify-reality", "derive-ode", "dual", "to-complex",
+                "rigid-check", "self-test"],
+)
+def test_stages_cover_the_job(command):
+    # the named stages account for at least 90% of the job's wall time
+    inputs = {
+        "to-complex": {"phi": DENSE_PHI},
+        "rigid-check": {"xi": "z*zb + z^4*zb^2 + z^2*zb^4 + z^3*zb^3 + 2*z^2*zb^2"},
+        "self-test": {},
+    }
+    kwargs = inputs[command] if command in inputs else {"theta": _dense_theta(12)}
+    cfg = cli.JobConfig(command=command, order=12, timings=True, **kwargs)
+    start = time.perf_counter_ns()
+    report = cli.run_job(cfg)
+    wall = (time.perf_counter_ns() - start) // 1000
+    assert sum(report.timings.values()) >= 0.9 * wall, report.timings
 
 
 def test_self_test_passes(capsys):

@@ -19,12 +19,13 @@ from crsphere.defining import (
     verify_reality,
 )
 from crsphere.errors import NotSolvableError
-from crsphere.fixtures import random_hermitian_xi, random_real_graph
 from crsphere.parsing import parse_series, render_series
 from crsphere.rational import GaussRat
 from crsphere.selftest import run_self_test
 from crsphere.series import TruncSeries
 from crsphere.transfer import SolutionManifold
+
+from random_inputs import random_hermitian_xi, random_real_graph
 
 
 def defining(text, order=10):

@@ -19,7 +19,7 @@ from crsphere.defining import (
     transform_defining,
 )
 from crsphere.errors import DegenerateError, InternalCheckError, RealityError
-from crsphere.fixtures import XI_NONSPHERICAL, corpus_biholos, heisenberg, random_hermitian_xi
+from crsphere.fixtures import XI_NONSPHERICAL, corpus_biholos, heisenberg
 from crsphere.invariants import (
     aj4,
     aj6,
@@ -35,6 +35,7 @@ from crsphere.series import TruncSeries
 from crsphere.transfer import OdeRhs, SolutionManifold, apply_dyx, dual_manifold
 
 from conftest import check_theta, gauss_rats
+from random_inputs import random_hermitian_xi
 
 ODE_VARS = ("x", "y", "yx")
 

@@ -2,7 +2,6 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +12,7 @@ from crsphere.parsing import parse_series
 from crsphere.rational import ZERO, GaussRat
 from crsphere.series import TruncSeries
 
-from conftest import VARS3, fractions_small, gauss_rats, series3
+from conftest import VARS3, _assert_normalised, gauss_rats, kernel_rats, series3
 
 
 def s(text, vars=VARS3, order=10):
@@ -137,42 +136,10 @@ def _loop_div(f, g):
     return TruncSeries(f.vars, hterms, order)
 
 
-_huge = st.integers(-(3**25), 3**25)
-
-# small, purely imaginary, mixed-denominator (p/3 + q/7*i) and large
-# (denominators 3^15..3^21) coefficients
-kernel_rats = st.one_of(
-    gauss_rats,
-    st.builds(lambda q: GaussRat(Fraction(0), q), fractions_small),
-    st.builds(
-        lambda p, q: GaussRat(Fraction(p, 3), Fraction(q, 7)),
-        st.integers(-9, 9),
-        st.integers(-9, 9),
-    ),
-    st.builds(
-        lambda p, j, q, k: GaussRat(Fraction(p, 3**j), Fraction(q, 3**k)),
-        _huge,
-        st.integers(15, 21),
-        _huge,
-        st.integers(15, 21),
-    ),
-)
-
 _Z = TruncSeries.variable("z", ("z", "w"), 6)
 _W = TruncSeries.variable("w", ("z", "w"), 6)
 _THIRD = GaussRat(Fraction(1, 3), Fraction(0))
 _I_SEVENTH = GaussRat(Fraction(0), Fraction(1, 7))
-
-
-def _assert_normalised(f):
-    """The representation contract: one positive denominator with no content
-    in common with the Gaussian-integer numerators, and no zero or
-    out-of-order term."""
-    assert f._den > 0
-    assert gcd(f._den, *(x for pair in f._num.values() for x in pair)) == 1
-    for mono, pair in f._num.items():
-        assert type(pair) is tuple and pair != (0, 0)
-        assert len(mono) == f.arity and sum(mono) < f.order
 
 
 def _same_as_reference(got, want):

@@ -8,7 +8,7 @@ import pytest
 
 import crsphere.transfer as tr
 from crsphere.errors import NonUnitError, NotSolvableError
-from crsphere.fixtures import random_gauss, random_series, random_solvable_q, section5_pair
+from crsphere.fixtures import random_gauss, random_series, section5_pair
 from crsphere.parsing import parse_series
 from crsphere.rational import GaussRat
 from crsphere.series import TruncSeries
@@ -28,6 +28,8 @@ from crsphere.transfer import (
     third_jet_expanded,
     total_deriv_check,
 )
+
+from random_inputs import random_solvable_q
 
 
 XAB = ("x", "a", "b")
