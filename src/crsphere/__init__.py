@@ -16,7 +16,6 @@ from .defining import (
     RealGraph,
     detect_rigid,
     levi_delta,
-    rigid_part,
     to_complex_defining,
     transform_defining,
     verify_reality,

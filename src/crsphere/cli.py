@@ -32,7 +32,7 @@ from .defining import (
     verify_reality,
 )
 from .errors import CrsError, InternalCheckError
-from .invariants import aj4, koppisch_check, rigid_invariant, sphericality_verdict
+from .invariants import koppisch_check, rigid_invariant, sphericality_verdict
 from .parsing import parse_series, render_series
 from .report import (
     Report,
@@ -174,7 +174,8 @@ def run_job(cfg: JobConfig) -> Report:
         d = clock("parse", lambda: _parse_theta(cfg))
         report = sphericality_verdict(d, cfg.order, clock)
         if report.verdict in (VERDICT_SPHERICAL, VERDICT_NON_SPHERICAL):
-            report.payload["aj4_vanishes"] = aj4(d).is_zero()
+            # the verdict keeps the numerator delta^3 aj4 on ``d``; delta is a unit
+            report.payload["aj4_vanishes"] = d.aj4_numerator.is_zero()
             report.payload["aj6_vanishes"] = report.verdict == VERDICT_SPHERICAL
         return report
 
@@ -182,8 +183,9 @@ def run_job(cfg: JobConfig) -> Report:
         if cfg.xi is None:
             raise ValueError("'rigid-check' needs a rigid part (--xi)")
         xi = clock("parse", lambda: parse_series(cfg.xi, XI_VARS, cfg.order))
-        herm = xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS)
-        defect = xi - herm
+        defect = clock(
+            "reality", lambda: xi - xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS)
+        )
         if not defect.is_zero():
             mono, coeff = defect.lowest_term()
             return Report(
@@ -193,7 +195,7 @@ def run_job(cfg: JobConfig) -> Report:
                 witness_coefficient=coeff,
                 timings=timings,
             )
-        levi = xi.derive("z").derive("zb").constant_term()
+        levi = clock("levi", lambda: xi.derive("z").derive("zb").constant_term())
         if levi.is_zero():
             return Report(
                 VERDICT_LEVI_DEGENERATE,
@@ -340,7 +342,12 @@ def _config_from_args(args) -> JobConfig:
     if args.order is not None:
         order = args.order
     elif "order" in values:
-        order = int(values["order"])
+        try:
+            order = int(values["order"])
+        except ValueError:
+            raise ValueError(
+                f"{args.input}: order = {values['order']!r} is not an integer"
+            ) from None
     else:
         order = DEFAULT_ORDER
     return JobConfig(

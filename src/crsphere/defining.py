@@ -69,8 +69,13 @@ class ComplexDefining:
 
     theta: TruncSeries
     rigid: bool = False
-    # the fourth-order obstruction, kept by ``invariants.aj4`` once computed
-    aj4: Optional[TruncSeries] = field(default=None, init=False, repr=False, compare=False)
+    # kept by ``invariants`` once computed: the cross-checked numerator
+    # ``delta^3 aj4`` and the operator ``(delta Q_a, delta Q_b, L0[delta])``
+    # of the denominator-cleared recursion
+    aj4_numerator: Optional[TruncSeries] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    cleared_operator: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def manifold(self) -> SolutionManifold:
@@ -170,18 +175,6 @@ def detect_rigid(theta: TruncSeries) -> bool:
     """True iff ``theta + wb`` has no ``wb`` dependence at all."""
     wb = TruncSeries.variable("wb", THETA_VARS, theta.order)
     return (theta + wb).derive("wb").is_zero()
-
-
-def rigid_part(theta: TruncSeries) -> TruncSeries:
-    """For a rigid ``theta = -wb + Xi(z, zb)``, extract ``Xi`` over ``(z, zb)``."""
-    terms = {}
-    for mono, coeff in theta.terms.items():
-        if mono == (0, 0, 1):
-            continue
-        if mono[2] != 0:
-            raise ValueError("defining function is not rigid")
-        terms[(mono[0], mono[1])] = coeff
-    return TruncSeries(XI_VARS, terms, theta.order)
 
 
 def to_complex_defining(graph: RealGraph, order: int) -> ComplexDefining:

@@ -15,6 +15,20 @@ cross-checked:
 
 Vanishing of any of them (equivalently all of them) to the achieved
 order is the sphericality verdict at that order.
+
+The verdict makes no division.  On the solution manifold ``y = Q = Theta``
+write ``L0[T] = Q_a T_b - Q_b T_a``, so that the transferred operator is
+``L = L0/delta``, and ``l = L0[delta]``.  ``L0`` is a derivation, so
+
+    L[X/delta^s] = (delta L0[X] - s X l) / delta^(s+2),
+
+and each step maps a numerator over ``delta^s`` to one over
+``delta^(s+2)`` with products only.  From ``L[Theta_zz] = P/delta``,
+``P = L0[Theta_zz]``, the steps ``s = 1, 3, 5`` give the numerator ``N`` of
+``aj4`` over ``delta^3`` (the operator side of the ``aj4`` cross-check),
+then ``M`` over ``delta^5``, then ``aj6`` over ``delta^7``.  Every operand
+is cut to the known order its product keeps, which the known-order rules
+of the series give; no term below that order changes.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import Optional
 
 from .defining import XI_VARS, ComplexDefining, levi_delta, verify_reality
 from .errors import CrsError, DegenerateError, InternalCheckError, RealityError
-from .rational import GaussRat
+from .rational import ONE, GaussRat
 from .report import (
     Report,
     StageClock,
@@ -34,12 +48,7 @@ from .report import (
     VERDICT_SPHERICAL,
 )
 from .series import TruncSeries
-from .transfer import (
-    OdeRhs,
-    SolutionManifold,
-    apply_dyx,
-    associated_ode,
-)
+from .transfer import OdeRhs, SolutionManifold, associated_ode
 
 
 @dataclass(frozen=True)
@@ -86,14 +95,16 @@ def _det2(a: TruncSeries, b: TruncSeries, c: TruncSeries, d: TruncSeries) -> Tru
 
 
 def _aj4_direct(theta: TruncSeries) -> TruncSeries:
-    """The fourth-order closed formula, transcribed in Theta-partials.
+    """The numerator ``N = delta^3 aj4`` of the fourth-order closed formula,
+    transcribed in Theta-partials.
 
-    Numerator over ``delta^3`` with ``delta = t_zb t_zwb - t_wb t_zzb``:
-    ``delta`` times the fourth-order ``t_zz..`` jets, plus the third-order
-    terms, factored through the two contractions ``py`` and ``px`` of the
-    shared squares of ``t_zb``, ``t_wb`` with the second-order jets.
-    They are written out here, not read from the solution manifold, so the
-    ``aj4`` cross-check compares two independent transcriptions.
+    ``N`` is ``delta = t_zb t_zwb - t_wb t_zzb`` times the fourth-order
+    ``t_zz..`` jets, plus the third-order terms, factored through the two
+    contractions ``py`` and ``px`` of the shared squares of ``t_zb``, ``t_wb``
+    with the second-order jets.  They are written out here, not read from
+    the solution manifold, so the ``aj4`` cross-check compares two
+    independent transcriptions.  Every partial is cut to the known order of
+    the fourth-order jets, the order ``N`` keeps.
     """
     t = theta
     t_z = t.derive("z")
@@ -110,6 +121,20 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     t_zzbzb = t_zzb.derive("zb")
     t_zzbwb = t_zzb.derive("wb")
     t_zwbwb = t_zwb.derive("wb")
+    t_zzzbzb = t_zzzb.derive("zb")
+    t_zzzbwb = t_zzzb.derive("wb")
+    t_zzwbwb = t_zzwb.derive("wb")
+    order = t_zzzbzb.order
+    (
+        t_zb, t_wb, t_zzb, t_zwb, t_zbzb, t_zbwb, t_wbwb,
+        t_zzzb, t_zzwb, t_zzbzb, t_zzbwb, t_zwbwb, t_zzzbwb, t_zzwbwb,
+    ) = (
+        s.truncate(order)
+        for s in (
+            t_zb, t_wb, t_zzb, t_zwb, t_zbzb, t_zbwb, t_wbwb,
+            t_zzzb, t_zzwb, t_zzbzb, t_zzbwb, t_zwbwb, t_zzzbwb, t_zzwbwb,
+        )
+    )
     two = GaussRat.of(2)
 
     zb2 = t_zb * t_zb
@@ -119,17 +144,11 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     delta = _det2(t_zb, t_wb, t_zzb, t_zwb)
     py = zb2 * t_zwbwb - zbwb2 * t_zzbwb + wb2 * t_zzbzb
     px = zb2 * t_wbwb - zbwb2 * t_zbwb + wb2 * t_zbzb
-    num = (
-        delta
-        * (
-            t_zzzb.derive("zb") * wb2
-            - t_zzzb.derive("wb") * zbwb2
-            + t_zzwb.derive("wb") * zb2
-        )
+    return (
+        delta * (t_zzzbzb * wb2 - t_zzzbwb * zbwb2 + t_zzwbwb * zb2)
         + py * _det2(t_zzzb, t_zzwb, t_zb, t_wb)
         - px * _det2(t_zzzb, t_zzwb, t_zzb, t_zwb)
     )
-    return num.div(delta.pow(3))
 
 
 def _require_levi(d: ComplexDefining) -> None:
@@ -138,34 +157,75 @@ def _require_levi(d: ComplexDefining) -> None:
         raise DegenerateError("Levi form vanishes at the origin")
 
 
-def aj4(d: ComplexDefining) -> TruncSeries:
-    """The fourth-order obstruction, kept on ``d``.
+def _l0(qa: TruncSeries, qb: TruncSeries, t: TruncSeries, order: Optional[int] = None):
+    """``qa T_b - qb T_a`` on the manifold space, known to ``order``: by
+    default the known order of ``T_a``, the most the products keep.  Every
+    operand is cut to ``order`` first."""
+    _, av, bv = t.vars
+    ta, tb = t.derive(av), t.derive(bv)
+    if order is None:
+        order = ta.order
+    return qa.truncate(order) * tb.truncate(order) - qb.truncate(order) * ta.truncate(order)
 
-    The closed formula is checked against the ``d/d(y_x)`` operator of
-    ``d.manifold`` applied twice to ``Theta_zz``.
+
+def _step(op: tuple, x: TruncSeries, s: GaussRat) -> TruncSeries:
+    """``delta L0[X] - s X l``, the numerator over ``delta^(s+2)`` of
+    ``L[X/delta^s]``; ``op`` is ``(delta Q_a, delta Q_b, l)``."""
+    delta_qa, delta_qb, ell = op
+    head = _l0(delta_qa, delta_qb, x)
+    order = head.order
+    return head - (x.truncate(order) * ell.truncate(order)).scale(s)
+
+
+_THREE = GaussRat.of(3)
+_FIVE = GaussRat.of(5)
+
+
+def _aj4_numerator(d: ComplexDefining) -> TruncSeries:
+    """``N = delta^3 aj4``, kept on ``d``.
+
+    The closed formula is checked against the step ``s = 1`` from
+    ``P = L0[Theta_zz]`` on ``d.manifold``.  That step is the first to use
+    the operator ``(delta Q_a, delta Q_b, l)``; it is built once, cut to
+    the order the step keeps, and kept on ``d`` for ``aj6``.
     """
-    if d.aj4 is None:
+    if d.aj4_numerator is None:
         _require_levi(d)
         m = d.manifold
-        direct = _aj4_direct(d.theta)
-        t_zz = d.theta.derive("z").derive("z")
-        diff = direct - apply_dyx(m, apply_dyx(m, t_zz))
+        num = _aj4_direct(d.theta)
+        qa, qb, delta = m.d("a"), m.d("b"), m.delta()
+        p = _l0(qa, qb, m.d("xx"))
+        order = p.derive(m.q.vars[1]).order
+        ell = _l0(qa, qb, delta, order)
+        delta = delta.truncate(order)
+        d.cleared_operator = (delta * qa.truncate(order), delta * qb.truncate(order), ell)
+        diff = num - _step(d.cleared_operator, p, ONE)
         if not diff.is_zero():
             raise InternalCheckError("the two fourth-order formulas disagree")
-        d.aj4 = direct.truncate(diff.order)
-    return d.aj4
+        d.aj4_numerator = num.truncate(diff.order)
+    return d.aj4_numerator
+
+
+def aj4(d: ComplexDefining) -> TruncSeries:
+    """The fourth-order obstruction ``N / delta^3``.
+
+    The numerator ``N`` is cross-checked and kept on ``d``; this division
+    is made only for a caller that asks for the series itself (``N``
+    vanishes with it, since ``delta`` is a unit).
+    """
+    return _aj4_numerator(d).div(d.manifold.delta().pow(3))
 
 
 def aj6(d: ComplexDefining) -> TruncSeries:
-    """The denominator-cleared sixth-order obstruction ``delta^7 L^2[aj4]``."""
-    _require_levi(d)
-    m = d.manifold
-    fourth = aj4(d)
-    second = apply_dyx(m, apply_dyx(m, fourth))
-    return m.delta().pow(7) * second
+    """The denominator-cleared sixth-order obstruction ``delta^7 L^2[aj4]``.
 
-
-RIGID_COEFFS = (1, -6, -4, -1, 15, 10, -15)
+    Two steps ``X/delta^s -> (delta L0[X] - s X l)/delta^(s+2)`` from
+    ``N = delta^3 aj4``: ``M = delta L0[N] - 3 N l`` over ``delta^5``, then
+    ``aj6 = delta L0[M] - 5 M l``, with no division.
+    """
+    num = _aj4_numerator(d)
+    op = d.cleared_operator
+    return _step(op, _step(op, num, _THREE), _FIVE)
 
 
 def rigid_invariant(xi: TruncSeries) -> TruncSeries:
@@ -178,41 +238,42 @@ def rigid_invariant(xi: TruncSeries) -> TruncSeries:
         + 15 Xi_zzbb Xi_zbb^2 / u^6  + 10 Xi_zbbb Xi_zzb Xi_zbb / u^6
         - 15 Xi_zzb Xi_zbb^3 / u^7
 
-    where the suffix letters count ``z`` then ``zb`` derivatives.
+    where the suffix letters count ``z`` then ``zb`` derivatives.  The
+    numerators ``t4 .. t7`` over each power are summed in Horner form,
+    ``((t4 u + t5) u + t6) u + t7``, and divided once by ``u^7``.  Every
+    operand is cut to the known order of ``Xi_zzbbbb``, the order the sum
+    keeps (to 1 at least).
     """
     if xi.vars != XI_VARS:
         raise CrsError(f"rigid part must use variables {XI_VARS}, got {xi.vars}")
     if not xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS) == xi:
         raise RealityError("rigid part is not Hermitian symmetric")
 
-    def dz(s, n):
-        for _ in range(n):
-            s = s.derive("z")
-        return s
-
-    def dzb(s, n):
-        for _ in range(n):
-            s = s.derive("zb")
-        return s
-
-    u = dzb(dz(xi, 1), 1)
+    # z1[j] and z2[j]: one and two z-derivatives, then j zb-derivatives
+    z1 = [xi.derive("z")]
+    z2 = [z1[0].derive("z")]
+    for _ in range(4):
+        z1.append(z1[-1].derive("zb"))
+        z2.append(z2[-1].derive("zb"))
+    u = z1[1]
     if u.constant_term().is_zero():
         raise DegenerateError("Xi_z,zb vanishes at the origin")
-    numerators = (
-        dzb(dz(xi, 2), 4),
-        dzb(dz(xi, 2), 3) * dzb(dz(xi, 1), 2),
-        dzb(dz(xi, 2), 2) * dzb(dz(xi, 1), 3),
-        dzb(dz(xi, 2), 1) * dzb(dz(xi, 1), 4),
-        dzb(dz(xi, 2), 2) * dzb(dz(xi, 1), 2).pow(2),
-        dzb(dz(xi, 1), 3) * dzb(dz(xi, 2), 1) * dzb(dz(xi, 1), 2),
-        dzb(dz(xi, 2), 1) * dzb(dz(xi, 1), 2).pow(3),
+    order = max(z2[4].order, 1)  # u keeps its constant term: it is the divisor
+    z1 = [s.truncate(order) for s in z1]
+    z2 = [s.truncate(order) for s in z2]
+    u = z1[1]
+    square = z1[2] * z1[2]
+    numerators = (  # (weight, numerator) over u^4, u^5, u^6 and u^7
+        ((1, z2[4]),),
+        ((-6, z2[3] * z1[2]), (-4, z2[2] * z1[3]), (-1, z2[1] * z1[4])),
+        ((15, z2[2] * square), (10, z1[3] * z2[1] * z1[2])),
+        ((-15, z2[1] * (square * z1[2])),),
     )
-    powers = (4, 5, 5, 5, 6, 6, 7)
     total = None
-    for coeff, num, power in zip(RIGID_COEFFS, numerators, powers):
-        term = num.scale(GaussRat.of(coeff)).div(u.pow(power))
-        total = term if total is None else total + term
-    return total
+    for group in numerators:
+        part = TruncSeries.sum([num.scale(GaussRat.of(c)) for c, num in group])
+        total = part if total is None else total * u + part
+    return total.div(u.pow(7))
 
 
 @dataclass(frozen=True)
@@ -293,7 +354,7 @@ def sphericality_verdict(
             timings=timings,
         )
 
-    clock("aj4", lambda: aj4(work))  # kept on ``work``; timed apart from aj6
+    clock("aj4", lambda: _aj4_numerator(work))  # kept on ``work``; timed apart from aj6
     obstruction = clock("aj6", lambda: aj6(work))
     if obstruction.is_zero():
         return Report(

@@ -4,6 +4,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
+from crsphere.defining import XI_VARS
 from crsphere.rational import GaussRat
 from crsphere.series import TruncSeries
 
@@ -91,3 +92,15 @@ def check_theta(rng, refute, order=12):
     big_u = series(f"1 + {text(u)}*z")
     theta = big_u * series(" + ".join(h)) - (series("wb") * big_u).div(series(f"1 + {text(u, -1)}*zb"))
     return render_series(theta)
+
+
+def rigid_part(theta):
+    """For a rigid ``theta = -wb + Xi(z, zb)``, extract ``Xi`` over ``(z, zb)``."""
+    terms = {}
+    for mono, coeff in theta.terms.items():
+        if mono == (0, 0, 1):
+            continue
+        if mono[2] != 0:
+            raise ValueError("defining function is not rigid")
+        terms[(mono[0], mono[1])] = coeff
+    return TruncSeries(XI_VARS, terms, theta.order)

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, deterministic JSON, file input, env cap."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -168,6 +169,17 @@ def test_job_file_input(tmp_path, capsys):
     assert code == 0 and out["verdict"] == "spherical-to-order"
 
 
+def test_job_file_order_error_names_file_key_and_value(tmp_path):
+    job = tmp_path / "job.txt"
+    job.write_text('theta = "-wb + z*zb"\norder = abc\n')
+    proc = run_cli(["check", "--input", str(job)], timeout=30)
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)  # exactly one document
+    assert out["verdict"] == "error"
+    assert out["message"] == f"{job}: order = 'abc' is not an integer"
+    assert proc.stderr == ""
+
+
 def test_output_file_written_atomically(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["check", "--theta", "-wb + z*zb", "--output", str(target)])
@@ -250,6 +262,7 @@ def test_report_without_timings_is_pinned(command, capsys):
         # a nonzero right-hand side, so that rendering it takes a measurable time
         (["derive-ode", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "levi", "eliminate", "render"}),
         (["dual", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "dual", "koppisch", "render"}),
+        (["rigid-check", "--xi", "z*zb + z^2*zb^2"], {"parse", "reality", "levi", "invariant"}),
     ],
 )
 def test_timings_are_integer_microseconds(argv, stages, capsys):
@@ -285,6 +298,7 @@ def test_stages_cover_the_job(command):
     }
     kwargs = inputs[command] if command in inputs else {"theta": _dense_theta(12)}
     cfg = cli.JobConfig(command=command, order=12, timings=True, **kwargs)
+    gc.collect()  # a pause to collect earlier garbage is not the job's work
     start = time.perf_counter_ns()
     report = cli.run_job(cfg)
     wall = (time.perf_counter_ns() - start) // 1000

@@ -12,7 +12,6 @@ from crsphere.defining import (
     THETA_VARS,
     detect_rigid,
     levi_delta,
-    rigid_part,
     theta_bar,
     to_complex_defining,
     transform_defining,
@@ -25,6 +24,7 @@ from crsphere.selftest import run_self_test
 from crsphere.series import TruncSeries
 from crsphere.transfer import SolutionManifold
 
+from conftest import rigid_part
 from random_inputs import random_hermitian_xi, random_real_graph
 
 

@@ -36,6 +36,7 @@ from crsphere.transfer import OdeRhs, SolutionManifold, apply_dyx, dual_manifold
 
 from conftest import check_theta, gauss_rats
 from random_inputs import random_hermitian_xi
+from reference_invariants import reference_aj4, reference_aj6, reference_rigid_invariant
 
 ODE_VARS = ("x", "y", "yx")
 
@@ -141,20 +142,25 @@ def _image(order):
     return transform_defining(heisenberg(order), corpus_biholos(order)[0], order)
 
 
+def _direct_over_delta3(theta):
+    """``_aj4_direct`` gives the numerator over ``delta^3``; divide it out."""
+    return inv._aj4_direct(theta).div(SolutionManifold(theta).delta().pow(3))
+
+
 def test_factored_aj4_matches_unfactored_transcription():
     dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), 12)
     dense = to_complex_defining(RealGraph(dense_phi), 12)
     images = [transform_defining(heisenberg(12), b, 12) for b in corpus_biholos(12)]
     for d in (heisenberg(12), *images, dense):
         # ``==`` compares the terms and the known order
-        assert inv._aj4_direct(d.theta) == _aj4_unfactored(d.theta)
+        assert _direct_over_delta3(d.theta) == _aj4_unfactored(d.theta)
 
 
 def test_factored_aj4_matches_unfactored_on_check_inputs():
     rng = random.Random(9)
     for k in range(20):
         theta = parse_series(check_theta(rng, refute=k % 3 != 0), THETA_VARS, 12)
-        assert inv._aj4_direct(theta) == _aj4_unfactored(theta)
+        assert _direct_over_delta3(theta) == _aj4_unfactored(theta)
 
 
 _MONOS_THETA = [m for m in itertools.product(range(4), repeat=3) if 2 <= sum(m) <= 4]
@@ -170,7 +176,7 @@ def test_factored_aj4_matches_unfactored_on_random_theta(levi, extra, order):
     # the z*zb coefficient is delta at the origin, so it is kept nonzero
     terms = {**extra, (0, 0, 1): GaussRat.of(-1), (1, 1, 0): levi}
     theta = TruncSeries(THETA_VARS, terms, order)
-    assert inv._aj4_direct(theta) == _aj4_unfactored(theta)
+    assert _direct_over_delta3(theta) == _aj4_unfactored(theta)
 
 
 def test_aj4_cross_check_detects_a_changed_term(monkeypatch):
@@ -216,9 +222,10 @@ def test_verdict_multiply_count(monkeypatch):
 
 # ``GaussRat`` values built in one order-12 verdict on ``_image(12)``: 2,411
 # while every series stored ``GaussRat`` coefficients, 9 since series stay
-# cleared and only the boundary builds them (constant terms of the Levi
-# determinant, one formula constant)
-VERDICT_GAUSSRATS = 9
+# cleared and only the boundary builds them, 4 since no ``L`` checks that
+# ``delta`` is a unit (three constant terms of the Levi determinant, one
+# formula constant)
+VERDICT_GAUSSRATS = 4
 
 
 def test_verdict_gaussrat_count(monkeypatch):
@@ -229,6 +236,102 @@ def test_verdict_gaussrat_count(monkeypatch):
     report = sphericality_verdict(d, 12)
     assert report.verdict == "spherical-to-order"
     assert len(built) <= VERDICT_GAUSSRATS
+
+
+# divisions in one order-12 verdict on ``_image(12)``: 5 while each ``L``
+# divided by ``delta`` and ``aj4`` by ``delta^3``, 0 since the recursion
+# clears ``delta`` step by step
+VERDICT_DIVISIONS = 0
+
+
+def test_verdict_division_count(monkeypatch):
+    d = ComplexDefining.from_theta(_image(12).theta)
+    calls = []
+    div = TruncSeries.div
+    monkeypatch.setattr(TruncSeries, "div", lambda f, g: calls.append(1) or div(f, g))
+    report = sphericality_verdict(d, 12)
+    assert report.verdict == "spherical-to-order"
+    assert len(calls) <= VERDICT_DIVISIONS
+
+
+# operand term pairs (the two operands' term counts multiplied, summed over
+# the products) in one order-12 verdict on ``_image(12)``: 8,559 while every
+# operand was used at its full known order, 3,914 since each is cut to the
+# order its product keeps
+VERDICT_MULTIPLY_PAIRS = 3914
+
+
+def test_verdict_multiply_pairs(monkeypatch):
+    d = ComplexDefining.from_theta(_image(12).theta)
+    pairs = []
+    mul = TruncSeries.__mul__
+    monkeypatch.setattr(
+        TruncSeries, "__mul__", lambda f, g: pairs.append(len(f._num) * len(g._num)) or mul(f, g)
+    )
+    report = sphericality_verdict(d, 12)
+    assert report.verdict == "spherical-to-order"
+    assert sum(pairs) <= VERDICT_MULTIPLY_PAIRS
+
+
+def test_verdict_does_not_divide_by_the_transferred_operator(monkeypatch):
+    calls = []
+    transfer = tr.apply_dyx
+
+    def counted(*args):
+        calls.append(1)
+        return transfer(*args)
+
+    monkeypatch.setattr(tr, "apply_dyx", counted)
+    monkeypatch.setattr(inv, "apply_dyx", counted, raising=False)
+    report = sphericality_verdict(ComplexDefining.from_theta(_image(12).theta), 12)
+    assert report.verdict == "spherical-to-order"
+    assert calls == []
+
+
+# -- the division-free obstructions against the division-based reference ------------
+
+
+def _assert_matches_reference(theta):
+    # independent defining functions, so nothing kept by one route reaches the other
+    d = ComplexDefining.from_theta(theta)
+    ref = ComplexDefining.from_theta(theta)
+    # ``==`` compares the terms and the known order, so ``tested_order`` is pinned
+    assert aj6(d) == reference_aj6(ref)
+    assert aj4(d) == reference_aj4(ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gauss_rats.filter(lambda c: not c.is_zero()),
+    st.dictionaries(st.sampled_from(_MONOS_THETA), gauss_rats, max_size=5),
+    st.integers(3, 14),
+)
+def test_obstructions_match_reference_on_random_theta(levi, extra, order):
+    terms = {**extra, (0, 0, 1): GaussRat.of(-1), (1, 1, 0): levi}
+    _assert_matches_reference(TruncSeries(THETA_VARS, terms, order))
+
+
+def test_obstructions_match_reference_on_check_inputs():
+    rng = random.Random(11)
+    for k in range(12):
+        _assert_matches_reference(parse_series(check_theta(rng, refute=k % 3 != 0), THETA_VARS, 12))
+
+
+def test_obstructions_match_reference_on_images_and_dense_theta():
+    for order in (12, 16):
+        dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), order)
+        _assert_matches_reference(to_complex_defining(RealGraph(dense_phi), order).theta)
+    for h in corpus_biholos(12):
+        _assert_matches_reference(transform_defining(heisenberg(12), h, 12).theta)
+    _assert_matches_reference(heisenberg(12).theta)
+
+
+def test_aj4_after_the_verdict_matches_reference():
+    # the verdict keeps only the numerator; ``aj4`` divides it on request
+    theta = _image(12).theta
+    d = ComplexDefining.from_theta(theta)
+    sphericality_verdict(d, 12)
+    assert aj4(d) == reference_aj4(ComplexDefining.from_theta(theta))
 
 
 def test_transformed_image_may_have_nonzero_aj4_but_zero_aj6():
@@ -301,6 +404,29 @@ def test_rigid_invariant_shares_witness_with_aj6():
         xi = parse_series(xi_txt, ("z", "zb"), 12)
         low = rigid_invariant(xi).lowest_term()
         assert low == (mono, coeff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 16))
+def test_rigid_invariant_matches_reference(seed, order):
+    xi = random_hermitian_xi(random.Random(seed), order)
+    # ``==`` compares the terms and the known order
+    assert rigid_invariant(xi) == reference_rigid_invariant(xi)
+
+
+def test_rigid_invariant_matches_reference_on_fixtures():
+    for order in (8, 12, 16):
+        for xi_txt, _, _ in XI_NONSPHERICAL:
+            xi = parse_series(xi_txt, ("z", "zb"), order)
+            assert rigid_invariant(xi) == reference_rigid_invariant(xi)
+
+
+def test_rigid_invariant_divides_once(monkeypatch):
+    calls = []
+    div = TruncSeries.div
+    monkeypatch.setattr(TruncSeries, "div", lambda f, g: calls.append(1) or div(f, g))
+    rigid_invariant(parse_series("z*zb + z^4*zb^2 + z^2*zb^4 + 2*z^2*zb^2", ("z", "zb"), 12))
+    assert len(calls) == 1
 
 
 def test_rigid_invariant_validates_reality():
