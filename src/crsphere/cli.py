@@ -63,8 +63,6 @@ class JobConfig:
     phi: Optional[str] = None
     vars: tuple = THETA_VARS
     order: int = DEFAULT_ORDER
-    output: Optional[str] = None
-    pretty: bool = False
     timings: bool = False
 
     def __post_init__(self):
@@ -357,8 +355,6 @@ def _config_from_args(args) -> JobConfig:
         phi=phi,
         vars=vars_,
         order=order,
-        output=args.output,
-        pretty=args.pretty,
         timings=args.timings,
     )
 

@@ -11,10 +11,10 @@ Grammar (whitespace insignificant, no implicit multiplication)::
 ``parse_series`` evaluates the text while it parses it: one recursive
 descent over the tokens builds a ``TruncSeries`` over a declared variable
 list, every value known to the working order and held in the series'
-cleared form.  Multiplying by a value of one term shifts and scales the
-other side, so a term of numbers, ``i`` and variable powers stays one
-numerator entry; only two values of several terms are convolved, and the
-terms of a sum are added into one map.  A character outside the grammar
+cleared form.  Products go through the series' convolution, where a
+side of one term meets the other side's terms once each, so a term of
+numbers, ``i`` and variable powers stays one numerator entry; the terms
+of a sum are added into one map.  A character outside the grammar
 is reported before anything else; every other error is raised where the
 descent meets it, so errors come in text order, each with its offset in
 the text.  ``render_series`` produces canonical text that parses back to
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
 from typing import Optional, Sequence
 
 from .errors import ExprSyntaxError
 from .rational import GaussRat
-from .series import TruncSeries, _combine, _product
+from .series import TruncSeries, _combine, _key, _product
 
 MAX_EXPONENT = 9999
 MAX_DEPTH = 100  # parenthesis nesting; keeps the descent off the recursion limit
@@ -61,23 +60,6 @@ def _bounded(f: TruncSeries) -> TruncSeries:
     return f
 
 
-def _times(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
-    """``f * g`` below ``order``: when one side has a single term, the other
-    is shifted and scaled by it; two sides of several terms are convolved."""
-    if len(f._num) == 1:
-        f, g = g, f
-    if len(g._num) != 1:
-        return _product(f, g, order)
-    ((shift, (a, b)),) = g._num.items()
-    d = sum(shift)
-    num = {
-        tuple(map(add, mono, shift)): (re * a - im * b, re * b + im * a)
-        for mono, (re, im) in f._num.items()
-        if sum(mono) + d < order
-    }
-    return TruncSeries._reduced(f.vars, order, f._den * g._den, num)
-
-
 class _Descent:
     """The evaluating recursive descent over the tokens of one text.
 
@@ -97,7 +79,8 @@ class _Descent:
     def constant(self, re: int, im: int, den: int) -> TruncSeries:
         if not (re or im) or not self.order:
             return self.zero
-        return TruncSeries._reduced(self.vars, self.order, den, {(0,) * len(self.vars): (re, im)})
+        origin = _key((0,) * len(self.vars))
+        return TruncSeries._reduced(self.vars, self.order, den, {origin: (re, im)})
 
     def expr(self) -> TruncSeries:
         tokens = self.tokens
@@ -119,7 +102,7 @@ class _Descent:
         value = self.factor()
         while self.tokens[self.i][0] == "*":
             self.i += 1
-            value = _bounded(_times(value, self.factor(), self.order))
+            value = _bounded(_product(value, self.factor(), self.order))
         return value
 
     def factor(self) -> TruncSeries:
@@ -155,8 +138,8 @@ class _Descent:
                 raise ExprSyntaxError(f"undeclared variable {value!r}", pos)
             if self.order < 2:
                 return self.zero
-            mono = tuple(int(v == value) for v in self.vars)
-            return TruncSeries._make(self.vars, self.order, 1, {mono: (1, 0)})
+            key = _key([int(v == value) for v in self.vars])
+            return TruncSeries._make(self.vars, self.order, 1, {key: (1, 0)})
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:
@@ -180,11 +163,11 @@ class _Descent:
         result = None
         while True:
             if n & 1:
-                result = base if result is None else _bounded(_times(result, base, self.order))
+                result = base if result is None else _bounded(_product(result, base, self.order))
             n >>= 1
             if not n:
                 return result
-            base = _bounded(_times(base, base, self.order))
+            base = _bounded(_product(base, base, self.order))
 
 
 def parse_series(text: str, vars: Sequence[str], order: int) -> TruncSeries:

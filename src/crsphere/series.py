@@ -1,14 +1,15 @@
 """Sparse truncated multivariate formal power series over Gaussian rationals.
 
-A ``TruncSeries`` is a finite map from exponent tuples to nonzero
+A ``TruncSeries`` is a finite map from monomials to nonzero
 Gaussian-rational coefficients together with a *known order* ``K``: every
 coefficient of total degree ``< K`` is exact, everything at degree
-``>= K`` is unknown and never stored.  All operations propagate ``K``
-conservatively by fixed rules so that independent computation paths
-truncate identically:
+``>= K`` is unknown and never stored.  ``K`` is at most ``MAX_ORDER``
+(128): the constructor rejects a larger one.  All operations propagate
+``K`` conservatively by fixed rules so that independent computation
+paths truncate identically, and none raises it past the ceiling:
 
 * ``f + g``, ``f - g``:  ``min(Kf, Kg)``
-* ``f * g``:             ``min(Kf + val(g), Kg + val(f), Kf + Kg)``
+* ``f * g``:             ``min(Kf + val(g), Kg + val(f), Kf + Kg, 128)``
 * ``derive``:            ``K - 1`` (floor 0)
 * ``substitute``:        ``min(Kf, min K of the provided images)``
 * ``div`` (unit divisor): ``min(Kf, Kg)``
@@ -19,27 +20,25 @@ by total degree first, then by the exponent tuple; "lowest term" always
 means minimal in this order, which pins witness selection.
 
 Representation: the coefficients are kept cleared, as one positive int
-denominator ``_den`` and a map ``_num`` from monomials to nonzero
+denominator ``_den`` and a map ``_num`` from monomial keys to nonzero
 Gaussian-integer numerators ``(re, im)``, every monomial of degree below
-``K``.  The form is normalised so that ``_den`` and all numerators have
-gcd 1, and the zero series has ``_den == 1``; it is canonical, so ``==``
-compares it directly.  Every operation works on ints, and ``GaussRat`` is
-built only at the boundary: the constructor clears its input, and
-``terms``, ``coeff``, ``constant_term``, ``lowest_term`` and
-``sorted_terms`` build fresh values on each call.
-
-Packed keys: ``*``, ``div`` and ``substitute`` pack their operands once,
-work on packed rows and unpack their result once.  Packing at working
-order ``K`` first drops every term of degree ``>= K``, then writes a
-monomial as one int whose digits base ``K`` are its degree followed by
-its exponents.  Sorted keys are in graded-lex order, and adding two keys
-multiplies the monomials with no carry while the product's degree is
-below ``K``; a term at or above ``K`` would hold an exponent that is not
-a digit, which is why it is dropped before packing.  The convolution
-visits, for each left row of degree ``d``, only the right rows of degree
-below ``K - d``.  The kernel's helpers are private: the benchmark's
-tracer wraps every public function of this module, and a span per
-helper call would change the spans it counts.
+``K``.  A key is one int whose 7-bit digits are the monomial's degree
+followed by its exponents; every digit is below ``K``, so keys sort in
+graded-lex order, and adding two keys multiplies the monomials with no
+carry while the product's degree stays below ``K``.  The form is
+normalised so that ``_den`` and all numerators have gcd 1, and the zero
+series has ``_den == 1``; it is canonical, so ``==`` compares it
+directly.  The arithmetic works on ints and keys; only the remaps of
+the variable space (``reorder``, ``extend`` and ``substitute``'s
+grouping) decode and re-encode keys.  Exponent tuples and ``GaussRat``
+values are built only at the boundary: the constructor clears and
+encodes its input, and ``terms``, ``coeff``, ``constant_term``,
+``lowest_term`` and ``sorted_terms`` build fresh values on each call.
+The convolution visits, for each left row of
+degree ``d``, only the right rows of degree below ``K - d``.  The
+kernel's helpers are private: the benchmark's tracer wraps every public
+function of this module, and a span per helper call would change the
+spans it counts.
 """
 
 from __future__ import annotations
@@ -56,40 +55,47 @@ from .rational import GaussRat, ONE, ZERO
 
 Mono = tuple  # exponent tuple, one slot per variable
 
-
-def degree(mono: Mono) -> int:
-    return sum(mono)
-
-
-def graded_lex_key(mono: Mono) -> tuple:
-    """Sort key realizing the graded-lexicographic order."""
-    return (sum(mono), mono)
+_BITS = 7  # width of a key digit
+MAX_ORDER = 1 << _BITS  # the largest known order: every degree is one digit
+_DIGIT = MAX_ORDER - 1
 
 
-def _pack(num: dict, order: int) -> list:
-    """The terms of ``num`` below ``order`` as ``(key, re, im)`` rows sorted
-    by key, the degree and then the exponents as digits base ``order``."""
-    rows = []
-    for mono, (re, im) in num.items():
-        key = sum(mono)
-        if key < order:
-            for e in mono:
-                key = key * order + e
-            rows.append((key, re, im))
+def _key(mono) -> int:
+    """The key of an exponent sequence of degree below ``MAX_ORDER``."""
+    key = sum(mono)
+    for e in mono:
+        key = key << _BITS | e
+    return key
+
+
+def _mono(key: int, arity: int) -> Mono:
+    """The exponent tuple of ``key`` in a space of ``arity`` variables."""
+    return tuple([key >> place & _DIGIT for place in range(_BITS * (arity - 1), -1, -_BITS)])
+
+
+def _rows(num: dict, bound: int) -> list:
+    """The nonzero terms of ``num`` with keys below ``bound`` as
+    ``(key, re, im)`` rows in key order."""
+    rows = [(k, re, im) for k, (re, im) in num.items() if k < bound and (re or im)]
     rows.sort(key=itemgetter(0))
     return rows
 
 
-def _convolve(left: list, right: list, order: int, top: int, acc: dict) -> dict:
-    """Add the Gaussian-integer product of two packed row lists below
-    ``order`` into ``acc``, ``{key: [re, im]}``, zeros included, and return
-    it; ``top`` is the place value of the degree digit.  Both lists are in
-    key order (left rows of one degree may come in any order): each left
-    row meets only the right prefix of degree below ``order`` minus its own.
+def _nonzero(acc: dict) -> dict:
+    """The nonzero accumulated terms of ``_convolve`` as ``(re, im)`` pairs."""
+    return {k: (re, im) for k, (re, im) in acc.items() if re or im}
+
+
+def _convolve(left: list, right: list, order: int, shift: int, acc: dict) -> dict:
+    """Add the Gaussian-integer product of two row lists below ``order``
+    into ``acc``, ``{key: [re, im]}``, zeros included, and return it;
+    ``shift`` is the place of the degree digit.  Both lists are in key
+    order (left rows of one degree may come in any order): each left row
+    meets only the right prefix of degree below ``order`` minus its own.
     """
     keys = [row[0] for row in right]
     for k1, r1, i1 in left:
-        n = bisect_left(keys, (order - k1 // top) * top)
+        n = bisect_left(keys, (order - (k1 >> shift)) << shift)
         if not n:
             break  # the left rows come by degree: the later ones meet none
         for k2, r2, i2 in islice(right, n):
@@ -103,26 +109,12 @@ def _convolve(left: list, right: list, order: int, top: int, acc: dict) -> dict:
     return acc
 
 
-def _rows(acc: dict) -> list:
-    """The nonzero accumulated terms of ``_convolve`` as sorted rows."""
-    return sorted((k, re, im) for k, (re, im) in acc.items() if re or im)
-
-
-def _unpack(acc: dict, arity: int, order: int) -> dict:
-    """The nonzero packed terms of ``acc`` as ``{mono: (re, im)}``."""
-    places = [order**i for i in range(arity - 1, -1, -1)]
-    return {
-        tuple([key // place % order for place in places]): (re, im)
-        for key, (re, im) in acc.items()
-        if re or im
-    }
-
-
 def _product(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     """``f * g`` below ``order``, over the product of their denominators."""
-    arity = len(f.vars)
-    acc = _convolve(_pack(f._num, order), _pack(g._num, order), order, order**arity, {})
-    return TruncSeries._reduced(f.vars, order, f._den * g._den, _unpack(acc, arity, order))
+    shift = _BITS * len(f.vars)
+    bound = order << shift
+    acc = _convolve(_rows(f._num, bound), _rows(g._num, bound), order, shift, {})
+    return TruncSeries._reduced(f.vars, order, f._den * g._den, _nonzero(acc))
 
 
 def _over(c: GaussRat, den: int) -> tuple:
@@ -138,24 +130,25 @@ def _combine(parts: list) -> TruncSeries:
     for f, _ in parts[1:]:
         first._check_space(f)
     order = min(f.order for f, _ in parts)
+    bound = order << _BITS * len(first.vars)
     den = lcm(*(f._den for f, _ in parts))
     acc: dict = {}
     for f, sign in parts:
         k = sign * (den // f._den)
         items = f._num.items()
         if f.order > order:
-            items = [(m, v) for m, v in items if sum(m) < order]
-        for mono, (re, im) in items:
-            old = acc.get(mono)
+            items = [(key, v) for key, v in items if key < bound]
+        for key, (re, im) in items:
+            old = acc.get(key)
             if old is None:
-                acc[mono] = (re * k, im * k)
+                acc[key] = (re * k, im * k)
                 continue
             re = old[0] + re * k
             im = old[1] + im * k
             if re or im:
-                acc[mono] = (re, im)
+                acc[key] = (re, im)
             else:
-                del acc[mono]
+                del acc[key]
     return TruncSeries._reduced(first.vars, order, den, acc)
 
 
@@ -171,6 +164,8 @@ class TruncSeries:
             raise ArityError(f"duplicate variable names in {vars}")
         if order < 0:
             raise ValueError("known order must be nonnegative")
+        if order > MAX_ORDER:
+            raise ValueError(f"known order {order} exceeds the largest supported order {MAX_ORDER}")
         kept = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
@@ -180,13 +175,13 @@ class TruncSeries:
                 raise ValueError(f"negative exponent in {mono}")
             if coeff.is_zero() or sum(mono) >= order:
                 continue
-            kept[mono] = coeff
+            kept[_key(mono)] = coeff
         # the lcm of reduced denominators leaves no common content
         den = lcm(*(q.denominator for c in kept.values() for q in (c.re, c.im)))
         self.vars = vars
         self.order = order
         self._den = den
-        self._num = {mono: _over(c, den) for mono, c in kept.items()}
+        self._num = {key: _over(c, den) for key, c in kept.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -214,7 +209,7 @@ class TruncSeries:
                     break
             if g != 1:
                 den //= g
-                num = {mono: (re // g, im // g) for mono, (re, im) in num.items()}
+                num = {key: (re // g, im // g) for key, (re, im) in num.items()}
         return TruncSeries._make(vars, order, den, num)
 
     @staticmethod
@@ -247,7 +242,8 @@ class TruncSeries:
     @property
     def terms(self) -> dict:
         """``{mono: GaussRat}``, a fresh dict of fresh values on each access."""
-        return {mono: self._coeff(*pair) for mono, pair in self._num.items()}
+        n = len(self.vars)
+        return {_mono(key, n): self._coeff(*pair) for key, pair in self._num.items()}
 
     def _coeff(self, re: int, im: int) -> GaussRat:
         return GaussRat(Fraction(re, self._den), Fraction(im, self._den))
@@ -263,10 +259,13 @@ class TruncSeries:
     def valuation(self) -> int:
         if not self._num:
             return self.order
-        return min(map(sum, self._num))
+        return min(self._num) >> _BITS * len(self.vars)
 
     def coeff(self, mono: Mono) -> GaussRat:
-        pair = self._num.get(tuple(mono))
+        mono = tuple(mono)
+        if len(mono) != len(self.vars) or min(mono, default=0) < 0 or sum(mono) >= self.order:
+            return ZERO
+        pair = self._num.get(_key(mono))
         return ZERO if pair is None else self._coeff(*pair)
 
     def constant_term(self) -> GaussRat:
@@ -276,14 +275,12 @@ class TruncSeries:
         """The (monomial, coefficient) pair minimal in graded-lex order."""
         if not self._num:
             return None
-        mono = min(self._num, key=graded_lex_key)
-        return mono, self._coeff(*self._num[mono])
+        key = min(self._num)
+        return _mono(key, len(self.vars)), self._coeff(*self._num[key])
 
     def sorted_terms(self) -> list:
-        return [
-            (mono, self._coeff(*self._num[mono]))
-            for mono in sorted(self._num, key=graded_lex_key)
-        ]
+        n = len(self.vars)
+        return [(_mono(key, n), self._coeff(*self._num[key])) for key in sorted(self._num)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -318,7 +315,7 @@ class TruncSeries:
         return _combine([(self, 1), (other, -1)])
 
     def __neg__(self) -> TruncSeries:
-        num = {mono: (-re, -im) for mono, (re, im) in self._num.items()}
+        num = {key: (-re, -im) for key, (re, im) in self._num.items()}
         return TruncSeries._make(self.vars, self.order, self._den, num)
 
     def scale(self, c: GaussRat) -> TruncSeries:
@@ -326,7 +323,7 @@ class TruncSeries:
             return TruncSeries._make(self.vars, self.order, 1, {})
         cden = lcm(c.re.denominator, c.im.denominator)
         a, b = _over(c, cden)
-        num = {mono: (re * a - im * b, re * b + im * a) for mono, (re, im) in self._num.items()}
+        num = {key: (re * a - im * b, re * b + im * a) for key, (re, im) in self._num.items()}
         return TruncSeries._reduced(self.vars, self.order, self._den * cden, num)
 
     def __mul__(self, other) -> TruncSeries:
@@ -337,6 +334,7 @@ class TruncSeries:
             self.order + other.valuation(),
             other.order + self.valuation(),
             self.order + other.order,
+            MAX_ORDER,
         )
         return _product(self, other, order)
 
@@ -365,7 +363,8 @@ class TruncSeries:
     def homogeneous_part(self, d: int, order: int) -> TruncSeries:
         """The terms of total degree ``d``, known to ``order``: the caller
         vouches that the part has no other term below ``order``."""
-        num = {mono: pair for mono, pair in self._num.items() if sum(mono) == d < order}
+        shift = _BITS * len(self.vars)
+        num = {key: pair for key, pair in self._num.items() if key >> shift == d < order}
         return TruncSeries._reduced(self.vars, order, self._den, num)
 
     def truncate(self, n: int) -> TruncSeries:
@@ -374,7 +373,8 @@ class TruncSeries:
             return self
         if n < 0:
             raise ValueError("known order must be nonnegative")
-        num = {mono: pair for mono, pair in self._num.items() if sum(mono) < n}
+        bound = n << _BITS * len(self.vars)
+        num = {key: pair for key, pair in self._num.items() if key < bound}
         return TruncSeries._reduced(self.vars, n, self._den, num)
 
     # -- calculus ------------------------------------------------------------
@@ -383,12 +383,14 @@ class TruncSeries:
         """Formal partial derivative; known order drops by one."""
         if var not in self.vars:
             raise ArityError(f"unknown variable {var!r} for space {self.vars}")
-        i = self.vars.index(var)
+        # one less in the degree digit and in the exponent's digit
+        place = _BITS * (len(self.vars) - 1 - self.vars.index(var))
+        step = (1 << _BITS * len(self.vars)) + (1 << place)
         num = {}
-        for mono, (re, im) in self._num.items():
-            k = mono[i]
+        for key, (re, im) in self._num.items():
+            k = key >> place & _DIGIT
             if k:
-                num[mono[:i] + (k - 1,) + mono[i + 1:]] = (k * re, k * im)
+                num[key - step] = (k * re, k * im)
         return TruncSeries._reduced(self.vars, max(self.order - 1, 0), self._den, num)
 
     def substitute(self, images: Mapping[str, TruncSeries]) -> TruncSeries:
@@ -411,53 +413,55 @@ class TruncSeries:
         for name, im in images.items():
             if name not in self.vars:
                 raise ArityError(f"image given for {name!r}, not a variable of {self.vars}")
-            if (0,) * im.arity in im._num:
+            if 0 in im._num:  # the origin's key
                 raise CompositionError(f"image for {name!r} has a nonzero constant term")
             order = min(order, im.order)
-        subbed = []  # (source slot, denominator, packed image rows)
-        shift = []  # (source slot, target slot) of each pass-through variable
+        shift = _BITS * len(target)
+        bound = order << shift
+        subbed = []  # (source slot, denominator, image rows)
+        passing = []  # (source slot, target slot) of each pass-through variable
         for i, v in enumerate(self.vars):
             if v in images:
                 im = images[v]
-                subbed.append((i, im._den, _pack(im._num, order)))
+                subbed.append((i, im._den, _rows(im._num, bound)))
             else:
                 if v not in target:
                     raise ArityError(f"variable {v!r} absent from target space {target}")
-                shift.append((i, target.index(v)))
+                passing.append((i, target.index(v)))
         # group the terms by their substituted exponents; pass-through
         # exponents move straight into their target slots
         groups: dict = {}
-        for mono, pair in self._num.items():
-            if sum(mono) >= order:
+        arity = len(self.vars)
+        for key, pair in self._num.items():
+            if key >> _BITS * arity >= order:
                 continue
+            mono = _mono(key, arity)
             out = [0] * len(target)
-            for i, j in shift:
+            for i, j in passing:
                 out[j] = mono[i]
-            key = tuple(mono[i] for i, _, _ in subbed)
-            groups.setdefault(key, {})[tuple(out)] = pair
+            group = tuple(mono[i] for i, _, _ in subbed)
+            groups.setdefault(group, {})[_key(out)] = pair
         # one denominator for every group: f's times each image's to its top power
         common = self._den
         for k, (_, den, _) in enumerate(subbed):
-            common *= den ** max((key[k] for key in groups), default=0)
-        arity = len(target)
-        top = order**arity
+            common *= den ** max((group[k] for group in groups), default=0)
         acc: dict = {}
 
         def expand(keys: list, level: int, product: list, den: int) -> None:
             # ``keys`` share their first ``level`` exponents, whose image
-            # powers multiply to the packed ``product`` over ``den``
+            # powers multiply to the rows ``product`` over ``den``
             if level == len(subbed):
-                part = _pack(groups[keys[0]], order)
+                part = _rows(groups[keys[0]], bound)
                 scale = common // den
                 if scale != 1:
                     part = [(k, re * scale, im * scale) for k, re, im in part]
-                _convolve(part, product, order, top, acc)
+                _convolve(part, product, order, shift, acc)
                 return
             _, image_den, image = subbed[level]
             power = 0
             for e, sub in groupby(keys, itemgetter(level)):
                 while power < e:
-                    product = _rows(_convolve(product, image, order, top, {}))
+                    product = _rows(_convolve(product, image, order, shift, {}), bound)
                     den *= image_den
                     power += 1
                 expand(list(sub), level + 1, product, den)
@@ -467,31 +471,31 @@ class TruncSeries:
         # the closure refers to itself: break that cycle, so the groups and
         # image products it holds are freed now, not at the next collection
         del expand
-        return TruncSeries._reduced(target, order, common, _unpack(acc, arity, order))
+        return TruncSeries._reduced(target, order, common, _nonzero(acc))
 
     def div(self, g: TruncSeries) -> TruncSeries:
         """Divide by a unit series, degree by degree; exact to min(Kf, Kg)."""
         self._check_space(g)
-        origin = (0,) * self.arity
-        if origin not in g._num:
+        if 0 not in g._num:  # the origin's key
             raise NonUnitError("divisor has zero constant term")
         order = min(self.order, g.order)
-        cr, ci = g._num[origin]
+        cr, ci = g._num[0]
         norm = cr * cr + ci * ci
-        top = order**self.arity
-        # the origin's key is 0, so it is the first row when there are any
-        gplus = _pack(g._num, order)[1:]
+        shift = _BITS * len(self.vars)
+        bound = order << shift
+        # the origin's row comes first when there are any
+        gplus = _rows(g._num, bound)[1:]
         # With f = F/Df and g = (c + G)/Dg, G the terms of positive degree,
         # f/g = Dg/Df * q for q = F/(c + G).  Its degree-d part q_d is kept
         # as the Gaussian integers N^(d+1) q_d, N = |c|^2, since dividing by
         # c is multiplying by conj(c)/N; rest[d] holds N^d times the degree-d
-        # part of F minus every (G q_e)_d, e < d, found so far.  Both are
-        # keyed by packed monomials.
+        # part of F minus every (G q_e)_d, e < d, found so far.
         powers = [norm**k for k in range(order + 1)]
         rest = [{} for _ in range(order)]
-        for key, re, im in _pack(self._num, order):
-            d = key // top
-            rest[d][key] = (re * powers[d], im * powers[d])
+        for key, (re, im) in self._num.items():
+            if key < bound:
+                d = key >> shift
+                rest[d][key] = (re * powers[d], im * powers[d])
         quotient = []  # (d, rows of N^(d+1) q_d)
         for d in range(order):
             q = [
@@ -502,8 +506,8 @@ class TruncSeries:
             if not q:
                 continue
             quotient.append((d, q))
-            for key, (re, im) in _convolve(q, gplus, order, top, {}).items():
-                e = key // top
+            for key, (re, im) in _convolve(q, gplus, order, shift, {}).items():
+                e = key >> shift
                 s = powers[e - d - 1]
                 part = rest[e]
                 old = part.get(key, (0, 0))
@@ -516,7 +520,6 @@ class TruncSeries:
             s = powers[last - d] * g._den
             for key, re, im in q:
                 num[key] = (re * s, im * s)
-        num = _unpack(num, self.arity, order)
         return TruncSeries._reduced(self.vars, order, self._den * powers[last + 1], num)
 
     # -- variable-space plumbing ----------------------------------------------
@@ -531,7 +534,7 @@ class TruncSeries:
         new_vars = tuple(relabel.get(v, v) for v in self.vars)
         if len(set(new_vars)) != len(new_vars):
             raise ArityError(f"relabeling {relabel} is not a bijection on {self.vars}")
-        num = {mono: (re, -im) for mono, (re, im) in self._num.items()}
+        num = {key: (re, -im) for key, (re, im) in self._num.items()}
         return TruncSeries._make(new_vars, self.order, self._den, num)
 
     def rename(self, mapping: Mapping[str, str]) -> TruncSeries:
@@ -547,20 +550,23 @@ class TruncSeries:
         new_vars = tuple(new_vars)
         if set(new_vars) != set(self.vars) or len(new_vars) != self.arity:
             raise ArityError(f"{new_vars} is not a permutation of {self.vars}")
-        idx = [self.vars.index(v) for v in new_vars]
-        num = {tuple(m[i] for i in idx): pair for m, pair in self._num.items()}
-        return TruncSeries._make(new_vars, self.order, self._den, num)
+        return self._moved(new_vars)
 
     def extend(self, new_vars: Iterable[str]) -> TruncSeries:
         """Embed into a larger variable space containing the current one."""
         new_vars = tuple(new_vars)
         if not set(self.vars) <= set(new_vars):
             raise ArityError(f"{new_vars} does not contain {self.vars}")
+        return self._moved(new_vars)
+
+    def _moved(self, new_vars: tuple) -> TruncSeries:
+        """The series over ``new_vars``, each exponent moved to its variable's slot."""
         pos = [new_vars.index(v) for v in self.vars]
+        arity = len(self.vars)
         num = {}
-        for mono, pair in self._num.items():
-            new = [0] * len(new_vars)
-            for j, e in zip(pos, mono):
-                new[j] = e
-            num[tuple(new)] = pair
+        for key, pair in self._num.items():
+            out = [0] * len(new_vars)
+            for j, e in zip(pos, _mono(key, arity)):
+                out[j] = e
+            num[_key(out)] = pair
         return TruncSeries._make(new_vars, self.order, self._den, num)

@@ -296,8 +296,6 @@ def second_jet_transfer(m: SolutionManifold, t: TruncSeries):
 # Repeated-column determinants vanish identically and are omitted.
 # ---------------------------------------------------------------------------
 
-AB = ("a", "b")
-
 THIRD_JET_TABLE = (
     # third-order T block
     ("aaa", -1, ("b", "b", "b"), ("a", "b"), ("a", "b")),

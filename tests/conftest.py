@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from crsphere.defining import XI_VARS
 from crsphere.rational import GaussRat
-from crsphere.series import TruncSeries
+from crsphere.series import TruncSeries, _key, _mono
 
 VARS3 = ("z", "zb", "wb")
 
@@ -40,13 +40,15 @@ kernel_rats = st.one_of(
 
 def _assert_normalised(f):
     """The representation contract: one positive denominator with no content
-    in common with the Gaussian-integer numerators, and no zero or
-    out-of-order term."""
+    in common with the Gaussian-integer numerators, no zero or out-of-order
+    term, and every key the encoding of a monomial of the series' space."""
     assert f._den > 0
     assert gcd(f._den, *(x for pair in f._num.values() for x in pair)) == 1
-    for mono, pair in f._num.items():
+    for key, pair in f._num.items():
         assert type(pair) is tuple and pair != (0, 0)
-        assert len(mono) == f.arity and sum(mono) < f.order
+        mono = _mono(key, f.arity)
+        assert sum(mono) < f.order
+        assert _key(mono) == key  # no digit beyond the space's, degree digit included
 
 
 def series3(min_order=4, max_order=8):

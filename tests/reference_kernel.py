@@ -5,6 +5,10 @@ packed-key kernel; the reference for the kernel's tests.
 ``reference_mul``, ``reference_div`` and ``reference_substitute`` are the
 former bodies of the parser's multi-term product, ``TruncSeries.__mul__``,
 ``TruncSeries.div`` and ``TruncSeries.substitute`` written over them.
+They read and write the series through two adapters, ``_tuples`` and
+``_reduced``, which translate between exponent tuples and the series'
+int keys with code of their own, so the reference shares no key code
+with the kernel it checks.
 """
 
 from __future__ import annotations
@@ -15,6 +19,35 @@ from typing import Mapping, Optional
 
 from crsphere.errors import ArityError, CompositionError, NonUnitError
 from crsphere.series import TruncSeries
+
+
+# a series key is one int: the monomial's degree, then its exponents, as
+# digits base 128
+_BASE = 128
+
+
+def _tuples(f: TruncSeries) -> dict:
+    """Read adapter: the numerators of ``f`` keyed by exponent tuples."""
+    num = {}
+    for key, pair in f._num.items():
+        digits = []
+        for _ in range(f.arity):
+            key, e = divmod(key, _BASE)
+            digits.append(e)
+        assert key == sum(digits)  # what is left is the degree digit
+        num[tuple(reversed(digits))] = pair
+    return num
+
+
+def _reduced(vars: tuple, order: int, den: int, num: dict) -> TruncSeries:
+    """Write adapter: ``TruncSeries._reduced`` of tuple-keyed numerators."""
+    keyed = {}
+    for mono, pair in num.items():
+        key = sum(mono)
+        for e in mono:
+            key = key * _BASE + e
+        keyed[key] = pair
+    return TruncSeries._reduced(vars, order, den, keyed)
 
 
 def _convolve(left: dict, right: dict, order: int, acc: Optional[dict] = None) -> dict:
@@ -49,8 +82,8 @@ def _nonzero(acc: dict) -> dict:
 
 def reference_product(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     """``f * g`` below ``order``, over the product of their denominators."""
-    num = _nonzero(_convolve(f._num, g._num, order))
-    return TruncSeries._reduced(f.vars, order, f._den * g._den, num)
+    num = _nonzero(_convolve(_tuples(f), _tuples(g), order))
+    return _reduced(f.vars, order, f._den * g._den, num)
 
 
 def reference_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -68,7 +101,7 @@ def reference_substitute(f: TruncSeries, images: Mapping[str, TruncSeries]) -> T
     for name, im in images.items():
         if name not in f.vars:
             raise ArityError(f"image given for {name!r}, not a variable of {f.vars}")
-        if (0,) * im.arity in im._num:
+        if (0,) * im.arity in _tuples(im):
             raise CompositionError(f"image for {name!r} has a nonzero constant term")
         order = min(order, im.order)
     subbed = []  # (source slot, denominator, image numerators below the order)
@@ -76,14 +109,14 @@ def reference_substitute(f: TruncSeries, images: Mapping[str, TruncSeries]) -> T
     for i, v in enumerate(f.vars):
         if v in images:
             im = images[v]
-            below = {m: pair for m, pair in im._num.items() if sum(m) < order}
+            below = {m: pair for m, pair in _tuples(im).items() if sum(m) < order}
             subbed.append((i, im._den, below))
         else:
             if v not in target:
                 raise ArityError(f"variable {v!r} absent from target space {target}")
             shift.append((i, target.index(v)))
     groups: dict = {}
-    for mono, pair in f._num.items():
+    for mono, pair in _tuples(f).items():
         if sum(mono) >= order:
             continue
         out = [0] * len(target)
@@ -116,21 +149,22 @@ def reference_substitute(f: TruncSeries, images: Mapping[str, TruncSeries]) -> T
     if groups:
         expand(sorted(groups), 0, {(0,) * len(target): (1, 0)}, f._den)
     del expand
-    return TruncSeries._reduced(target, order, common, _nonzero(acc))
+    return _reduced(target, order, common, _nonzero(acc))
 
 
 def reference_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     f._check_space(g)
     origin = (0,) * f.arity
-    if origin not in g._num:
+    g_num = _tuples(g)
+    if origin not in g_num:
         raise NonUnitError("divisor has zero constant term")
     order = min(f.order, g.order)
-    cr, ci = g._num[origin]
+    cr, ci = g_num[origin]
     norm = cr * cr + ci * ci
-    gplus = {m: pair for m, pair in g._num.items() if m != origin}
+    gplus = {m: pair for m, pair in g_num.items() if m != origin}
     powers = [norm**k for k in range(order + 1)]
     rest = [{} for _ in range(order)]
-    for mono, (re, im) in f._num.items():
+    for mono, (re, im) in _tuples(f).items():
         d = sum(mono)
         if d < order:
             rest[d][mono] = (re * powers[d], im * powers[d])
@@ -158,4 +192,4 @@ def reference_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
         s = powers[top - d] * g._den
         for mono, (re, im) in q.items():
             num[mono] = (re * s, im * s)
-    return TruncSeries._reduced(f.vars, order, f._den * powers[top + 1], num)
+    return _reduced(f.vars, order, f._den * powers[top + 1], num)

@@ -222,6 +222,21 @@ def test_env_order_cap_errors_name_the_variable(cap, message):
     assert proc.stderr == ""
 
 
+def test_order_past_the_series_ceiling_is_one_error_report():
+    proc = subprocess.run(
+        [sys.executable, "-m", "crsphere.cli", "check", "--theta=-wb+z*zb", "--order", "150"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "CRS_MAX_ORDER": "200"},
+    )
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)  # exactly one document
+    assert out["verdict"] == "error"
+    assert out["message"] == "known order 150 exceeds the largest supported order 128"
+    assert proc.stderr == ""
+
+
 def test_byte_identical_reports_across_runs():
     args = ["check", "--theta", "-wb + z*zb + z^2*zb^2", "--order", "9"]
     first = run_cli(args)

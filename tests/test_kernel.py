@@ -1,10 +1,10 @@
-"""The packed-key convolution kernel against the tuple-keyed reference.
+"""The graded-key convolution kernel against the tuple-keyed reference.
 
 ``tests/reference_kernel.py`` keeps the kernel that ``series`` used before
 its monomials were packed into graded keys.  Products, divisions,
 substitutions and parsed products must equal its results, known order
 included, and stay normalised, on spaces of arity 0 to 5 and orders 0 to
-20.
+20.  The key format itself and the order ceiling it sets are tested last.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from crsphere.parsing import parse_series, render_series
 from crsphere.rational import GaussRat, ONE
-from crsphere.series import TruncSeries, _pack, _unpack, graded_lex_key
+from crsphere.series import MAX_ORDER, TruncSeries, _key, _mono
 
 from conftest import VARS3, _assert_normalised, kernel_rats
 from reference_kernel import reference_div, reference_mul, reference_product, reference_substitute
@@ -157,15 +157,36 @@ def test_top_exponent_times_a_unit(vars):
             _same(edge.substitute(image), reference_substitute(edge, image))
 
 
-def test_packed_keys_sort_graded_lex_and_unpack_inverts_pack():
+def test_keys_sort_graded_lex_and_decoding_inverts_encoding():
     order = 8
     monos3 = [m for m in itertools.product(range(order), repeat=3) if sum(m) < order]
-    num = {m: (k + 1, -k) for k, m in enumerate(monos3)}
-    rows = _pack(num, order)
-    unpacked = _unpack({key: (re, im) for key, re, im in rows}, 3, order)
-    assert unpacked == num
-    # the rows come in key order, and key order is graded-lex order
-    assert [key for key, _, _ in rows] == sorted(key for key, _, _ in rows)
-    assert list(unpacked) == sorted(monos3, key=graded_lex_key)
+    keys = [_key(m) for m in monos3]
+    assert [_mono(key, 3) for key in keys] == monos3
+    # key order is graded-lex order
+    assert [_mono(key, 3) for key in sorted(keys)] == sorted(monos3, key=lambda m: (sum(m), m))
+    # at the ceiling every degree and exponent is still one digit
+    edge = [(MAX_ORDER - 1, 0, 0), (0, 1, MAX_ORDER - 2), (0, 0, 0)]
+    assert [_mono(_key(m), 3) for m in edge] == edge
     # terms at or above the order never get a key
-    assert _pack({(order, 0, 0): (1, 0), (0, 1, order - 1): (2, 0), (0, 0, 0): (3, 4)}, order) == [(0, 3, 4)]
+    terms = {(order, 0, 0): ONE, (0, 1, order - 1): GaussRat.of(2), (0, 0, 0): GaussRat.of(3, 4)}
+    assert TruncSeries(VARS3, terms, order)._num == {_key((0, 0, 0)): (3, 4)}
+
+
+def test_coeff_is_zero_off_the_space_and_the_order():
+    f = parse_series("1 + z + zb^7 + wb^2", VARS3, 8)
+    assert f.coeff((0, 7, 0)) == GaussRat.of(1)
+    for mono in [(0, 0), (0, 0, 0, 0), (-1, 1, 0), (1, -1, 2), (8, 0, 0), (0, 0, 9)]:
+        assert f.coeff(mono).is_zero()
+
+
+def test_the_order_ceiling_is_128():
+    assert MAX_ORDER == 128
+    with pytest.raises(ValueError, match="128"):
+        TruncSeries.zero(("z",), MAX_ORDER + 1)
+    z = TruncSeries.variable("z", ("z",), MAX_ORDER)
+    # Kf + val g passes the ceiling at every squaring; the product stops there
+    power = z.pow(64)
+    assert power.order == MAX_ORDER and power.sorted_terms() == [((64,), ONE)]
+    _assert_normalised(power)
+    big = z.pow(100)
+    assert big * big == TruncSeries.zero(("z",), MAX_ORDER)
