@@ -15,6 +15,7 @@ byte-identical across runs unless ``--timings`` is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -299,7 +300,10 @@ _INPUT_HELP = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and reused: parse_args keeps no state between
+    # calls (defaults are None or False, each call gets a fresh namespace)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--input", help="job file of 'key = value' lines")
     shared.add_argument("--vars", help="comma-separated variable names")

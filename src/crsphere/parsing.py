@@ -11,14 +11,14 @@ Grammar (whitespace insignificant, no implicit multiplication)::
 ``parse_series`` evaluates the text while it parses it: one recursive
 descent over the tokens builds a ``TruncSeries`` over a declared variable
 list, every value known to the working order and held in the series'
-cleared form.  Products go through the series' convolution, where a
-side of one term meets the other side's terms once each, so a term of
-numbers, ``i`` and variable powers stays one numerator entry; the terms
-of a sum are added into one map.  A character outside the grammar
-is reported before anything else; every other error is raised where the
-descent meets it, so errors come in text order, each with its offset in
-the text.  ``render_series`` produces canonical text that parses back to
-the same series (the round-trip property).
+cleared form.  Products go through the series' product, where a side
+of one term is a shift and a scale of the other side, not a convolution,
+so a term of numbers, ``i`` and variable powers stays one numerator
+entry; the terms of a sum are added into one map.  A character outside
+the grammar is reported before anything else; every other error is
+raised where the descent meets it, so errors come in text order, each
+with its offset in the text.  ``render_series`` produces canonical text
+that parses back to the same series (the round-trip property).
 """
 
 from __future__ import annotations

@@ -34,11 +34,12 @@ grouping) decode and re-encode keys.  Exponent tuples and ``GaussRat``
 values are built only at the boundary: the constructor clears and
 encodes its input, and ``terms``, ``coeff``, ``constant_term``,
 ``lowest_term`` and ``sorted_terms`` build fresh values on each call.
-The convolution visits, for each left row of
-degree ``d``, only the right rows of degree below ``K - d``.  The
-kernel's helpers are private: the benchmark's tracer wraps every public
-function of this module, and a span per helper call would change the
-spans it counts.
+The convolution visits, for each left row of degree ``d``, only the
+right rows of degree below ``K - d``; a product with a one-term side is
+no convolution but a shift of the other side's keys and a scale of its
+numerators.  The kernel's helpers are private: the benchmark's tracer
+wraps every public function of this module, and a span per helper call
+would change the spans it counts.
 """
 
 from __future__ import annotations
@@ -110,11 +111,22 @@ def _convolve(left: list, right: list, order: int, shift: int, acc: dict) -> dic
 
 
 def _product(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
-    """``f * g`` below ``order``, over the product of their denominators."""
+    """``f * g`` below ``order``, over the product of their denominators.
+    A side of one term ``(k1, r1 + i1 i)`` is a shift and a scale: ``k1``
+    is added to each key of the other side below ``(order - deg k1) <<
+    shift``, and each numerator is multiplied by ``r1 + i1 i``; products
+    of nonzero Gaussian integers are nonzero, so none is filtered out."""
     shift = _BITS * len(f.vars)
-    bound = order << shift
-    acc = _convolve(_rows(f._num, bound), _rows(g._num, bound), order, shift, {})
-    return TruncSeries._reduced(f.vars, order, f._den * g._den, _nonzero(acc))
+    one, other = (f, g) if len(f._num) == 1 else (g, f)
+    if len(one._num) == 1:
+        ((k1, (r1, i1)),) = one._num.items()
+        top = (order - (k1 >> shift)) << shift
+        num = {k1 + k: (r1 * re - i1 * im, r1 * im + i1 * re)
+               for k, (re, im) in other._num.items() if k < top}
+    else:
+        bound = order << shift
+        num = _nonzero(_convolve(_rows(f._num, bound), _rows(g._num, bound), order, shift, {}))
+    return TruncSeries._reduced(f.vars, order, f._den * g._den, num)
 
 
 def _over(c: GaussRat, den: int) -> tuple:

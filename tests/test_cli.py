@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +19,8 @@ from crsphere.cli import main
 from crsphere.rational import GaussRat
 from crsphere.report import VERDICT_NON_SPHERICAL, Report
 from crsphere.series import TruncSeries
+
+from conftest import check_theta
 
 FIXED_KEYS = [
     "verdict",
@@ -425,3 +428,68 @@ def test_invariants_payload(capsys, monkeypatch):
     assert out["verdict"] == "non-spherical"
     assert out["aj4_vanishes"] is False and out["aj6_vanishes"] is False
     assert out["witness_monomial"] == [2, 0, 0]
+
+
+def _report(argv, run):
+    """``(exit code, report)`` of ``argv`` run by ``run``, read from the
+    ``--output`` file when there is one, with timing values dropped."""
+    code, text = run(argv)
+    if "--output" in argv:
+        path = argv[argv.index("--output") + 1]
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        os.unlink(path)
+    if "--timings" in argv:
+        doc = json.loads(text)
+        doc["timings"] = sorted(doc["timings"])
+        text = json.dumps(doc)
+    return code, text
+
+
+def _in_process(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _alone(argv):
+    proc = run_cli(argv, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    job = tmp_path / "job.txt"
+    job.write_text('vars = z, zb, wb\ntheta = "-wb + z*zb + z^4*zb^2 + z^2*zb^4"\norder = 9\n')
+    theta = "--theta=-wb + z*zb + z^2*zb^2"
+    # each pair sets an option and then leaves it out: nothing may carry over
+    sequence = [
+        ["check", theta, "--order", "9", "--pretty"],
+        ["check", theta, "--order", "9"],
+        ["rigid-check", "--xi=z*zb + z^4*zb^2", "--order", "8", "--output", str(tmp_path / "r")],
+        ["rigid-check", "--xi=z*zb + z^4*zb^2", "--order", "8"],
+        ["invariants", theta, "--order", "8", "--timings"],
+        ["invariants", theta, "--order", "8"],
+        ["check", "--order", "x"],
+        ["check", theta],
+        ["check", "--input", str(job)],
+        ["verify-reality", theta],
+    ]
+    in_sequence = [_report(argv, _in_process) for argv in sequence]
+    assert in_sequence == [_report(argv, _alone) for argv in sequence]
+    assert [code for code, _ in in_sequence] == [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("refute", [False, True])
+def test_a_check_job_leaves_no_cyclic_garbage(refute):
+    # cyclic garbage waits for the collector and raises the peak memory of
+    # a long run; the argparse parser built per call once left 284 objects
+    argv = ["check", f"--theta={check_theta(random.Random(3), refute)}", "--order", "12"]
+    _in_process(argv)  # the first call builds the parser
+    gc.collect()
+    gc.disable()
+    try:
+        _in_process(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -80,6 +80,43 @@ def test_mul_matches_reference_kernel(pair):
     _same(f * g, reference_mul(f, g))
 
 
+@st.composite
+def one_term_pairs(draw):
+    """``(f, g)`` with a side of exactly one stored term, on the left or the
+    right; the other side may be one term too, zero or known to order 0."""
+    vars = draw(st.sampled_from(SPACES))
+    order = draw(st.integers(1, 20))
+    mono = draw(monos(len(vars), order - 1))
+    one = TruncSeries(vars, {mono: draw(kernel_rats.filter(lambda c: not c.is_zero()))}, order)
+    other = draw(st.one_of(series_in(vars), series_in(vars, max_terms=1)))
+    return (one, other) if draw(st.booleans()) else (other, one)
+
+
+def _one_term(vars, mono, order, c=ONE):
+    return TruncSeries(vars, {mono: c}, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_pairs())
+# the term sits at the top exponent digit: only the partner's constant stays
+@example((_one_term(VARS3, (0, 0, 8), 9, GaussRat.of("3/4", "-1/6")), _edge(VARS3, 9, 0)))
+@example((_edge(VARS3, 9, 1), _one_term(VARS3, (0, 0, 8), 9, GaussRat.of(0, "2/7"))))
+# the term's degree reaches the product order: Kg + val f = 3
+@example((_one_term(VARS3, (1, 2, 0), 5), TruncSeries.zero(VARS3, 0)))
+@example((TruncSeries.zero(VARS3, 0), _one_term(VARS3, (1, 2, 0), 5, GaussRat.of("5/3"))))
+# both sides one term, and a zero partner
+@example((_one_term(_XYAB, (1, 0, 2, 0, 0), 6, GaussRat.of("1/2", "1/3")),
+          _one_term(_XYAB, (0, 0, 0, 3, 1), 9, GaussRat.of(0, "-5/9"))))
+@example((_one_term(("z",), (4,), 7, GaussRat.of("2/3")), TruncSeries.zero(("z",), 7)))
+# arity 0: a constant times a constant, or times a zero known to order 0
+@example((_one_term((), (), 4, GaussRat.of("3/2", 1)), _one_term((), (), 2, GaussRat.of(0, "1/3"))))
+@example((TruncSeries.zero((), 0), _one_term((), (), 20, GaussRat.of("7/5"))))
+def test_one_term_products_match_reference_kernel(pair):
+    f, g = pair
+    assert 1 in (len(f._num), len(g._num))
+    _same(f * g, reference_mul(f, g))
+
+
 @settings(max_examples=200, deadline=None)
 @given(pairs(), kernel_rats.filter(lambda c: not c.is_zero()))
 @example((_edge(VARS3, 12, 1), TruncSeries.zero(VARS3, 12)), GaussRat.of(3))

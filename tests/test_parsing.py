@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_parser
+from crsphere import series
 from crsphere.errors import ExprSyntaxError
 from crsphere.fixtures import random_series
 from crsphere.parsing import (
@@ -312,10 +313,17 @@ def test_parsing_a_check_theta_multiplies_no_series(monkeypatch):
     calls = []
     mul = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+    convolutions = []
+    convolve = series._convolve
+    monkeypatch.setattr(series, "_convolve", lambda *a: convolutions.append(1) or convolve(*a))
     for text in texts:
         assert parse_series(text, VARS, 12) == reference_parser.parse_series(text, VARS, 12)
         # the reference multiplied once per number, ``i`` and variable
         assert len(calls) > 100
         calls.clear()
+        convolutions.clear()
         parse_series(text, VARS, 12)
         assert calls == []
+        # every product of a check Theta has a one-term side, a shift and a
+        # scale; each went through the convolution before, about 173 per Theta
+        assert convolutions == []
