@@ -6,8 +6,12 @@ nondegenerate hypersurface given by a complex defining equation
 explicit sixth-order polynomial differential expression in the jet of
 ``Theta`` -- together with the supporting calculus: exact truncated
 series arithmetic over Gaussian rationals, real-to-complex conversion,
-parameter elimination to a second-order ODE, Tresse invariants, the
-jet-transfer formulas, a rigid-case shortcut and duality cross-checks.
+parameter elimination to a second-order ODE, Tresse invariants, a
+rigid-case shortcut and duality cross-checks.
+
+The audit of the paper's jet-transfer formulas is not re-exported here:
+it lives in ``crsphere.selftest``, which only ``self-test`` and the tests
+import.
 """
 
 from .defining import (
@@ -46,21 +50,6 @@ from .rational import GaussRat
 from .report import Report, render_report
 from .series import TruncSeries
 from .solve import implicit_solve
-from .transfer import (
-    OdeRhs,
-    SolutionManifold,
-    TransferOps,
-    apply_dx,
-    apply_dy,
-    apply_dyx,
-    associated_ode,
-    dual_manifold,
-    first_jet_transfer,
-    second_jet_transfer,
-    solve_parameters,
-    third_jet_check,
-    third_jet_expanded,
-    total_deriv_check,
-)
+from .transfer import SolutionManifold, associated_ode, dual_manifold, solve_parameters
 
 __version__ = "0.1.0"

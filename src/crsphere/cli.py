@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: check, to-complex, verify-reality, derive-ode, invariants,
-rigid-check, dual, self-test.  Input arrives inline (``--theta``,
-``--xi``, ``--phi``) or from a plain-text file of ``key = value`` lines
-(keys ``vars``, ``order``, ``theta``, ``xi``, ``phi``; values may be
-double-quoted; ``#`` starts a comment).  Every command prints one JSON
+rigid-check, dual, self-test, one row each of ``COMMANDS``.  Input
+arrives inline (``--theta``, ``--xi``, ``--phi``) or from a plain-text
+file of ``key = value`` lines (keys ``vars``, ``order``, ``theta``,
+``xi``, ``phi``; values may be double-quoted; ``#`` starts a comment).  Every command prints one JSON
 report (see the report module for the schema) to stdout or ``--output``.
 
 Exit codes: 0 for any clean verdict (including non-spherical), 1 for
@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .defining import (
     GRAPH_VARS,
@@ -46,14 +46,10 @@ from .report import (
     VERDICT_SPHERICAL,
     render_report,
 )
-from .selftest import run_self_test
 from .transfer import associated_ode
 
 DEFAULT_ORDER = 10
 DEFAULT_ORDER_CAP = 16
-# the sixth-order pipeline loses six derivative orders; anything below
-# seven cannot report past degree zero
-MIN_ORDER = {"check": 7, "invariants": 7, "rigid-check": 7}
 
 
 @dataclass
@@ -67,12 +63,14 @@ class JobConfig:
     timings: bool = False
 
     def __post_init__(self):
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
         raw = os.environ.get("CRS_MAX_ORDER", str(DEFAULT_ORDER_CAP))
         try:
             cap = int(raw)
         except ValueError:
             raise ValueError(f"CRS_MAX_ORDER={raw!r} is not an integer") from None
-        minimum = MIN_ORDER.get(self.command, 4)
+        minimum = COMMANDS[self.command].min_order
         if self.order > cap:
             if cap < minimum:
                 raise ValueError(
@@ -110,153 +108,178 @@ def _parse_theta(cfg: JobConfig) -> ComplexDefining:
     return ComplexDefining.from_theta(theta)
 
 
-def run_job(cfg: JobConfig) -> Report:
-    command = cfg.command
-    clock = StageClock(cfg.timings)
-    timings = clock.timings
+# -- command handlers: (cfg, clock) -> Report; run_job attaches the timings --
 
-    if command == "check":
-        d = clock("parse", lambda: _parse_theta(cfg))
-        return sphericality_verdict(d, cfg.order, clock)
 
-    if command == "verify-reality":
-        d = clock("parse", lambda: _parse_theta(cfg))
-        witness = clock("reality", lambda: verify_reality(d))
-        if witness is None:
-            return Report(VERDICT_OK, tested_order=d.theta.order, timings=timings)
-        mono, coeff = witness
+def _check(cfg: JobConfig, clock: StageClock) -> Report:
+    d = clock("parse", lambda: _parse_theta(cfg))
+    return sphericality_verdict(d, cfg.order, clock)
+
+
+def _verify_reality(cfg: JobConfig, clock: StageClock) -> Report:
+    d = clock("parse", lambda: _parse_theta(cfg))
+    witness = clock("reality", lambda: verify_reality(d))
+    if witness is None:
+        return Report(VERDICT_OK, tested_order=d.theta.order)
+    mono, coeff = witness
+    return Report(
+        VERDICT_REALITY_VIOLATED,
+        tested_order=d.theta.order,
+        witness_monomial=mono,
+        witness_coefficient=coeff,
+    )
+
+
+def _to_complex(cfg: JobConfig, clock: StageClock) -> Report:
+    if cfg.phi is None:
+        raise ValueError("'to-complex' needs a real graphing function (--phi)")
+    phi = clock("parse", lambda: parse_series(cfg.phi, GRAPH_VARS, cfg.order))
+    d = clock("solve", lambda: to_complex_defining(RealGraph(phi), cfg.order))
+    delta, _ = clock("levi", lambda: levi_delta(d))
+    return Report(
+        VERDICT_OK,
+        tested_order=d.theta.order,
+        delta_at_origin=delta.constant_term(),
+        payload={"theta": clock("render", lambda: render_series(d.theta)), "rigid": d.rigid},
+    )
+
+
+def _derive_ode(cfg: JobConfig, clock: StageClock) -> Report:
+    d = clock("parse", lambda: _parse_theta(cfg))
+    delta, nondegenerate = clock("levi", lambda: levi_delta(d))
+    if not nondegenerate:
+        return Report(
+            VERDICT_LEVI_DEGENERATE,
+            tested_order=d.theta.order,
+            delta_at_origin=delta.constant_term(),
+        )
+    f = clock("eliminate", lambda: associated_ode(d.manifold, cfg.order))
+    return Report(
+        VERDICT_OK,
+        tested_order=f.order,
+        delta_at_origin=delta.constant_term(),
+        payload={"ode_rhs": clock("render", lambda: render_series(f)), "ode_vars": list(f.vars)},
+    )
+
+
+def _invariants(cfg: JobConfig, clock: StageClock) -> Report:
+    d = clock("parse", lambda: _parse_theta(cfg))
+    report = sphericality_verdict(d, cfg.order, clock)
+    if report.verdict in (VERDICT_SPHERICAL, VERDICT_NON_SPHERICAL):
+        # the verdict keeps the numerator delta^3 aj4 on ``d``; delta is a unit
+        report.payload["aj4_vanishes"] = d.aj4_numerator.is_zero()
+        report.payload["aj6_vanishes"] = report.verdict == VERDICT_SPHERICAL
+    return report
+
+
+def _rigid_check(cfg: JobConfig, clock: StageClock) -> Report:
+    if cfg.xi is None:
+        raise ValueError("'rigid-check' needs a rigid part (--xi)")
+    xi = clock("parse", lambda: parse_series(cfg.xi, XI_VARS, cfg.order))
+    defect = clock(
+        "reality", lambda: xi - xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS)
+    )
+    if not defect.is_zero():
+        mono, coeff = defect.lowest_term()
         return Report(
             VERDICT_REALITY_VIOLATED,
-            tested_order=d.theta.order,
+            tested_order=xi.order,
             witness_monomial=mono,
             witness_coefficient=coeff,
-            timings=timings,
         )
+    levi = clock("levi", lambda: xi.derive("z").derive("zb").constant_term())
+    if levi.is_zero():
+        return Report(VERDICT_LEVI_DEGENERATE, tested_order=xi.order, delta_at_origin=levi)
+    inv = clock("invariant", lambda: rigid_invariant(xi))
+    if inv.is_zero():
+        return Report(VERDICT_SPHERICAL, tested_order=inv.order, delta_at_origin=levi)
+    mono, coeff = inv.lowest_term()
+    return Report(
+        VERDICT_NON_SPHERICAL,
+        tested_order=inv.order,
+        witness_monomial=mono,
+        witness_coefficient=coeff,
+        delta_at_origin=levi,
+    )
 
-    if command == "to-complex":
-        if cfg.phi is None:
-            raise ValueError("'to-complex' needs a real graphing function (--phi)")
-        phi = clock("parse", lambda: parse_series(cfg.phi, GRAPH_VARS, cfg.order))
-        d = clock("solve", lambda: to_complex_defining(RealGraph(phi), cfg.order))
-        delta, _ = clock("levi", lambda: levi_delta(d))
-        return Report(
-            VERDICT_OK,
-            tested_order=d.theta.order,
-            delta_at_origin=delta.constant_term(),
-            timings=timings,
-            payload={"theta": clock("render", lambda: render_series(d.theta)), "rigid": d.rigid},
-        )
 
-    if command == "derive-ode":
-        d = clock("parse", lambda: _parse_theta(cfg))
-        delta, nondegenerate = clock("levi", lambda: levi_delta(d))
-        if not nondegenerate:
-            return Report(
-                VERDICT_LEVI_DEGENERATE,
-                tested_order=d.theta.order,
-                delta_at_origin=delta.constant_term(),
-                timings=timings,
-            )
-        ode = clock("eliminate", lambda: associated_ode(d.manifold, cfg.order))
-        return Report(
-            VERDICT_OK,
-            tested_order=ode.f.order,
-            delta_at_origin=delta.constant_term(),
-            timings=timings,
-            payload={
-                "ode_rhs": clock("render", lambda: render_series(ode.f)),
-                "ode_vars": list(ode.f.vars),
+def _dual(cfg: JobConfig, clock: StageClock) -> Report:
+    d = clock("parse", lambda: _parse_theta(cfg))
+    dual = clock("dual", lambda: d.manifold.dual(cfg.order))
+    # for a surface satisfying the reality condition the dual graph is
+    # the coefficient-conjugate with the conjugated slot leading
+    conj = d.theta.conjugate({"z": "zb", "zb": "z", "wb": "wb"}).rename(
+        {"zb": "x", "z": "a", "wb": "b"}
+    )
+    koppisch = clock("koppisch", lambda: koppisch_check(d.manifold, cfg.order))
+    return Report(
+        VERDICT_OK,
+        tested_order=dual.q.order,
+        payload={
+            "dual": clock("render", lambda: render_series(dual.q)),
+            "dual_vars": list(dual.q.vars),
+            "conjugate_equal": (dual.q - conj).is_zero(),
+            "koppisch": {
+                "i1_vanishes": koppisch.i1_vanishes,
+                "i2_vanishes": koppisch.i2_vanishes,
+                "dual_i1_vanishes": koppisch.dual_i1_vanishes,
+                "dual_i2_vanishes": koppisch.dual_i2_vanishes,
+                "order": koppisch.order,
             },
-        )
+        },
+    )
 
-    if command == "invariants":
-        d = clock("parse", lambda: _parse_theta(cfg))
-        report = sphericality_verdict(d, cfg.order, clock)
-        if report.verdict in (VERDICT_SPHERICAL, VERDICT_NON_SPHERICAL):
-            # the verdict keeps the numerator delta^3 aj4 on ``d``; delta is a unit
-            report.payload["aj4_vanishes"] = d.aj4_numerator.is_zero()
-            report.payload["aj6_vanishes"] = report.verdict == VERDICT_SPHERICAL
-        return report
 
-    if command == "rigid-check":
-        if cfg.xi is None:
-            raise ValueError("'rigid-check' needs a rigid part (--xi)")
-        xi = clock("parse", lambda: parse_series(cfg.xi, XI_VARS, cfg.order))
-        defect = clock(
-            "reality", lambda: xi - xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS)
-        )
-        if not defect.is_zero():
-            mono, coeff = defect.lowest_term()
-            return Report(
-                VERDICT_REALITY_VIOLATED,
-                tested_order=xi.order,
-                witness_monomial=mono,
-                witness_coefficient=coeff,
-                timings=timings,
-            )
-        levi = clock("levi", lambda: xi.derive("z").derive("zb").constant_term())
-        if levi.is_zero():
-            return Report(
-                VERDICT_LEVI_DEGENERATE,
-                tested_order=xi.order,
-                delta_at_origin=levi,
-                timings=timings,
-            )
-        inv = clock("invariant", lambda: rigid_invariant(xi))
-        if inv.is_zero():
-            return Report(
-                VERDICT_SPHERICAL,
-                tested_order=inv.order,
-                delta_at_origin=levi,
-                timings=timings,
-            )
-        mono, coeff = inv.lowest_term()
-        return Report(
-            VERDICT_NON_SPHERICAL,
-            tested_order=inv.order,
-            witness_monomial=mono,
-            witness_coefficient=coeff,
-            delta_at_origin=levi,
-            timings=timings,
-        )
+def _self_test(cfg: JobConfig, clock: StageClock) -> Report:
+    from .selftest import run_self_test  # only this command loads the paper audit
 
-    if command == "dual":
-        d = clock("parse", lambda: _parse_theta(cfg))
-        dual = clock("dual", lambda: d.manifold.dual(cfg.order))
-        # for a surface satisfying the reality condition the dual graph is
-        # the coefficient-conjugate with the conjugated slot leading
-        conj = d.theta.conjugate({"z": "zb", "zb": "z", "wb": "wb"}).rename(
-            {"zb": "x", "z": "a", "wb": "b"}
-        )
-        koppisch = clock("koppisch", lambda: koppisch_check(d.manifold, cfg.order))
-        return Report(
-            VERDICT_OK,
-            tested_order=dual.q.order,
-            timings=timings,
-            payload={
-                "dual": clock("render", lambda: render_series(dual.q)),
-                "dual_vars": list(dual.q.vars),
-                "conjugate_equal": (dual.q - conj).is_zero(),
-                "koppisch": {
-                    "i1_vanishes": koppisch.i1_vanishes,
-                    "i2_vanishes": koppisch.i2_vanishes,
-                    "dual_i1_vanishes": koppisch.dual_i1_vanishes,
-                    "dual_i2_vanishes": koppisch.dual_i2_vanishes,
-                    "order": koppisch.order,
-                },
-            },
-        )
+    passed = clock("corpus", run_self_test)
+    return Report(
+        VERDICT_OK,
+        tested_order=cfg.order,
+        payload={"checks": {name: "pass" for name in passed}},
+    )
 
-    if command == "self-test":
-        passed = clock("corpus", run_self_test)
-        return Report(
-            VERDICT_OK,
-            tested_order=cfg.order,
-            timings=timings,
-            payload={"checks": {name: "pass" for name in passed}},
-        )
 
-    raise ValueError(f"unknown command {cfg.command!r}")
+class Command(NamedTuple):
+    """One row of the command table; the table's key is the command name."""
+
+    help: str
+    option: Optional[str]  # the option carrying the command's input
+    # the sixth-order pipeline loses six derivative orders; below seven it
+    # cannot report past degree zero
+    min_order: int
+    handler: Callable[[JobConfig, StageClock], Report]
+
+
+COMMANDS = {
+    "check": Command("full sphericality verdict for a defining function", "--theta", 7, _check),
+    "to-complex": Command(
+        "convert a real graph u = phi(x, y, v) to a complex defining equation",
+        "--phi", 4, _to_complex,
+    ),
+    "verify-reality": Command(
+        "check the reality condition of a defining function", "--theta", 4, _verify_reality
+    ),
+    "derive-ode": Command(
+        "eliminate the parameters: the associated second-order ODE", "--theta", 4, _derive_ode
+    ),
+    "invariants": Command(
+        "sphericality verdict plus invariant vanishing flags", "--theta", 7, _invariants
+    ),
+    "rigid-check": Command(
+        "sphericality of a rigid surface from its part Xi(z, zb)", "--xi", 7, _rigid_check
+    ),
+    "dual": Command("dual solution manifold and duality cross-checks", "--theta", 4, _dual),
+    "self-test": Command("run the pinned fixture corpus", None, 4, _self_test),
+}
+
+
+def run_job(cfg: JobConfig) -> Report:
+    clock = StageClock(cfg.timings)
+    report = COMMANDS[cfg.command].handler(cfg, clock)
+    report.timings = clock.timings
+    return report
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -282,17 +305,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# (name, help, option carrying the command's input)
-_COMMANDS = (
-    ("check", "full sphericality verdict for a defining function", "--theta"),
-    ("to-complex", "convert a real graph u = phi(x, y, v) to a complex defining equation", "--phi"),
-    ("verify-reality", "check the reality condition of a defining function", "--theta"),
-    ("derive-ode", "eliminate the parameters: the associated second-order ODE", "--theta"),
-    ("invariants", "sphericality verdict plus invariant vanishing flags", "--theta"),
-    ("rigid-check", "sphericality of a rigid surface from its part Xi(z, zb)", "--xi"),
-    ("dual", "dual solution manifold and duality cross-checks", "--theta"),
-    ("self-test", "run the pinned fixture corpus", None),
-)
 _INPUT_HELP = {
     "--theta": "defining function over (z, zb, wb)",
     "--xi": "rigid part over (z, zb)",
@@ -321,10 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact sphericality checks for hypersurfaces w = Theta(z, zb, wb) in C^2",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text, option in _COMMANDS:
-        p = sub.add_parser(name, help=help_text, parents=[shared])
-        if option is not None:
-            p.add_argument(option, help=_INPUT_HELP[option])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, parents=[shared])
+        if command.option is not None:
+            p.add_argument(command.option, help=_INPUT_HELP[command.option])
     return parser
 
 

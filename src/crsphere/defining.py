@@ -126,11 +126,6 @@ class Biholo:
         if det.is_zero():
             raise ValueError("map has a singular linear part at the origin")
 
-    def then(self, other: "Biholo") -> "Biholo":
-        """Composition: apply ``self`` first, then ``other``."""
-        images = {"z": self.f, "w": self.g}
-        return Biholo(other.f.substitute(images), other.g.substitute(images))
-
 
 def theta_bar(theta: TruncSeries) -> TruncSeries:
     """The coefficient-conjugate series, as a function of ``(z, zb, w)``.

@@ -48,7 +48,7 @@ from .report import (
     VERDICT_SPHERICAL,
 )
 from .series import TruncSeries
-from .transfer import OdeRhs, SolutionManifold, associated_ode
+from .transfer import SolutionManifold, associated_ode
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,15 @@ class InvariantPair:
     i2: TruncSeries
 
 
-def tresse_invariants(ode: OdeRhs) -> InvariantPair:
+def tresse_invariants(f: TruncSeries) -> InvariantPair:
     """Compute ``I1 = F_yxyxyxyx`` and the second Tresse invariant
 
         I2 = DD(F_yxyx) - F_yx D(F_yxyx) - 4 D(F_yyx)
              + 6 F_yy - 3 F_y F_yxyx + 4 F_yx F_yyx
 
-    with ``D = d_x + yx d_y + F d_yx`` acting on series in ``(x, y, yx)``.
+    with ``D = d_x + yx d_y + F d_yx`` acting on series in ``(x, y, yx)``,
+    for the right-hand side ``F = f`` of ``y_xx = F(x, y, y_x)``.
     """
-    f = ode.f
     yx = TruncSeries.variable("yx", f.vars, f.order)
 
     def total(t: TruncSeries) -> TruncSeries:

@@ -108,4 +108,3 @@ class GaussRat:
 
 ZERO = GaussRat()
 ONE = GaussRat.of(1)
-I = GaussRat.i()

@@ -11,8 +11,8 @@ keep no obstruction on the defining function, so each call recomputes.
 from crsphere.defining import XI_VARS, levi_delta
 from crsphere.errors import CrsError, DegenerateError, InternalCheckError, RealityError
 from crsphere.rational import GaussRat
+from crsphere.selftest import apply_dyx
 from crsphere.series import TruncSeries
-from crsphere.transfer import apply_dyx
 
 RIGID_COEFFS = (1, -6, -4, -1, 15, 10, -15)
 

@@ -14,6 +14,7 @@ import pytest
 
 import crsphere.cli as cli
 import crsphere.invariants as inv
+import crsphere.selftest as audit
 import crsphere.transfer as tr
 from crsphere.cli import main
 from crsphere.rational import GaussRat
@@ -139,9 +140,10 @@ def test_missing_file_exit_one(capsys):
 
 
 def test_internal_check_failure_exit_two(capsys, monkeypatch):
-    original = tr.THIRD_JET_TABLE
+    # ``self-test`` imports the audit when it runs, and must see the patch
+    original = audit.THIRD_JET_TABLE
     flipped = ((original[0][0], -original[0][1]) + original[0][2:],) + original[1:]
-    monkeypatch.setattr(tr, "THIRD_JET_TABLE", flipped)
+    monkeypatch.setattr(audit, "THIRD_JET_TABLE", flipped)
     code = main(["self-test"])
     out = json.loads(capsys.readouterr().out)
     assert code == 2
@@ -321,6 +323,39 @@ def test_stages_cover_the_job(command):
     report = cli.run_job(cfg)
     wall = (time.perf_counter_ns() - start) // 1000
     assert sum(report.timings.values()) >= 0.9 * wall, report.timings
+
+
+AUDIT_NAMES = {
+    "TransferOps", "first_jet_transfer", "apply_dx", "apply_dy", "apply_dyx",
+    "total_deriv_check", "second_jet_transfer", "THIRD_JET_TABLE",
+    "DET_DERIVATIVE_IDENTITIES", "REPEATED_COLUMN_SPECIES", "third_jet_expanded",
+    "third_jet_check",
+}
+
+# runs one job, then prints the exit code, the crsphere modules loaded and
+# the names of ``crsphere`` and ``crsphere.transfer``
+LOADED_PROBE = """
+import contextlib, io, json, sys
+import crsphere, crsphere.cli, crsphere.transfer
+with contextlib.redirect_stdout(io.StringIO()):
+    code = crsphere.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": [m for m in sys.modules if m.startswith("crsphere")],
+                  "names": [*vars(crsphere), *vars(crsphere.transfer)]}))
+"""
+
+
+@pytest.mark.parametrize("command", [name for name in cli.COMMANDS if name != "self-test"])
+def test_only_self_test_loads_the_audit(command):
+    inputs = {"to-complex": ["--phi", "x^2 + y^2"], "rigid-check": ["--xi", "z*zb + z^2*zb^2"]}
+    argv = [command, *inputs.get(command, ["--theta", "-wb + z*zb + z^2*zb^2"]), "--order", "8"]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *argv], capture_output=True, text=True, timeout=60
+    )
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    assert "crsphere.selftest" not in out["modules"]
+    assert "crsphere.fixtures" not in out["modules"]
+    assert not AUDIT_NAMES & set(out["names"])
 
 
 def test_self_test_passes(capsys):

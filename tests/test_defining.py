@@ -212,7 +212,10 @@ def test_transform_composition():
     h1 = biholo("z", "w + w^2")
     h2 = biholo("z + z^2", "w")
     image_two_steps = transform_defining(transform_defining(d, h1, 10), h2, 10)
-    image_composed = transform_defining(d, h1.then(h2), 10)
+    # apply h1 first, then h2
+    images = {"z": h1.f, "w": h1.g}
+    composed = Biholo(h2.f.substitute(images), h2.g.substitute(images))
+    image_composed = transform_defining(d, composed, 10)
     assert (image_two_steps.theta - image_composed.theta).is_zero()
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crsphere.invariants as inv
-import crsphere.transfer as tr
 from crsphere.defining import (
     Biholo,
     ComplexDefining,
@@ -30,9 +29,9 @@ from crsphere.invariants import (
 )
 from crsphere.parsing import parse_series
 from crsphere.rational import GaussRat
-from crsphere.selftest import pipeline_equivalence, transferred_i1
+from crsphere.selftest import apply_dyx, pipeline_equivalence, transferred_i1
 from crsphere.series import TruncSeries
-from crsphere.transfer import OdeRhs, SolutionManifold, apply_dyx, dual_manifold
+from crsphere.transfer import SolutionManifold, dual_manifold
 
 from conftest import check_theta, gauss_rats
 from random_inputs import random_hermitian_xi
@@ -42,7 +41,7 @@ ODE_VARS = ("x", "y", "yx")
 
 
 def ode(text, order=10):
-    return OdeRhs(parse_series(text, ODE_VARS, order))
+    return parse_series(text, ODE_VARS, order)
 
 
 def defining(text, order=10):
@@ -188,21 +187,6 @@ def test_aj4_cross_check_detects_a_changed_term(monkeypatch):
         aj4(_image(10))
 
 
-def test_verdict_does_not_run_the_second_jet_transfer(monkeypatch):
-    calls = []
-    transfer = tr.second_jet_transfer
-
-    def counted(*args):
-        calls.append(1)
-        return transfer(*args)
-
-    monkeypatch.setattr(tr, "second_jet_transfer", counted)
-    monkeypatch.setattr(inv, "second_jet_transfer", counted, raising=False)
-    report = sphericality_verdict(ComplexDefining.from_theta(_image(12).theta), 12)
-    assert report.verdict == "spherical-to-order"
-    assert calls == []
-
-
 # multiplies in one order-12 verdict on ``_image(12)``: 224 while ``aj4`` was
 # cross-checked through the three-species second-jet transfer, 127 after,
 # 46 since ``substitute`` convolves grouped terms without ``__mul__``, 38 since
@@ -271,21 +255,6 @@ def test_verdict_multiply_pairs(monkeypatch):
     report = sphericality_verdict(d, 12)
     assert report.verdict == "spherical-to-order"
     assert sum(pairs) <= VERDICT_MULTIPLY_PAIRS
-
-
-def test_verdict_does_not_divide_by_the_transferred_operator(monkeypatch):
-    calls = []
-    transfer = tr.apply_dyx
-
-    def counted(*args):
-        calls.append(1)
-        return transfer(*args)
-
-    monkeypatch.setattr(tr, "apply_dyx", counted)
-    monkeypatch.setattr(inv, "apply_dyx", counted, raising=False)
-    report = sphericality_verdict(ComplexDefining.from_theta(_image(12).theta), 12)
-    assert report.verdict == "spherical-to-order"
-    assert calls == []
 
 
 # -- the division-free obstructions against the division-based reference ------------

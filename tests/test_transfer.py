@@ -1,33 +1,32 @@
-"""Parameter elimination and the jet-transfer formulas, including the
-expanded third-order term table (the central regression of the build)."""
+"""Parameter elimination and the dual (``transfer``), and the audited
+jet-transfer formulas (``selftest``), including the expanded third-order
+term table (the central regression of the build)."""
 
 import itertools
 import random
 
 import pytest
 
+import crsphere.selftest as audit
 import crsphere.transfer as tr
 from crsphere.errors import NonUnitError, NotSolvableError
 from crsphere.fixtures import random_gauss, random_series, section5_pair
 from crsphere.parsing import parse_series
 from crsphere.rational import GaussRat
-from crsphere.series import TruncSeries
-from crsphere.transfer import (
+from crsphere.selftest import (
     DET_DERIVATIVE_IDENTITIES,
     REPEATED_COLUMN_SPECIES,
-    SolutionManifold,
     apply_dx,
     apply_dy,
     apply_dyx,
-    associated_ode,
-    dual_manifold,
     first_jet_transfer,
     second_jet_transfer,
-    solve_parameters,
     third_jet_check,
     third_jet_expanded,
     total_deriv_check,
 )
+from crsphere.series import TruncSeries
+from crsphere.transfer import SolutionManifold, associated_ode, dual_manifold, solve_parameters
 
 from random_inputs import random_solvable_q
 
@@ -68,21 +67,20 @@ def test_solve_parameters_quadratic_residual():
 
 
 def test_associated_ode_heisenberg_is_free_particle():
-    assert associated_ode(manifold(HEISENBERG_Q), 8).f.is_zero()
+    assert associated_ode(manifold(HEISENBERG_Q), 8).is_zero()
 
 
 def test_associated_ode_affine_lines():
-    assert associated_ode(SolutionManifold(parse_series("b + x*a", XAB, 8)), 8).f.is_zero()
+    assert associated_ode(SolutionManifold(parse_series("b + x*a", XAB, 8)), 8).is_zero()
 
 
 def test_associated_ode_nonzero_and_consistent():
     """The defining identity of the correspondence: Q_xx == F(x, Q, Q_x)."""
     m = manifold("-b + x*a + x^2*a^2", 8)
-    ode = associated_ode(m, 8)
-    assert not ode.f.is_zero()
+    f = associated_ode(m, 8)
+    assert not f.is_zero()
     q = m.q
-    composed = ode.f.substitute({"y": q.truncate(ode.f.order),
-                                 "yx": q.derive("x").truncate(ode.f.order)})
+    composed = f.substitute({"y": q.truncate(f.order), "yx": q.derive("x").truncate(f.order)})
     assert (composed - q.derive("x").derive("x")).is_zero()
 
 
@@ -91,9 +89,8 @@ def test_correspondence_round_trip_random():
     for _ in range(5):
         q = random_solvable_q(rng, 8)
         m = SolutionManifold(q)
-        ode = associated_ode(m, 8)
-        composed = ode.f.substitute({"y": q.truncate(ode.f.order),
-                                     "yx": q.derive("x").truncate(ode.f.order)})
+        f = associated_ode(m, 8)
+        composed = f.substitute({"y": q.truncate(f.order), "yx": q.derive("x").truncate(f.order)})
         assert (composed - q.derive("x").derive("x")).is_zero()
 
 
@@ -175,7 +172,7 @@ def test_total_derivative_negative_control():
     """A wrong-sign drift coefficient must produce a witness."""
     m = manifold("-b + x*a + x^2*a^2")
     t = parse_series("a^2 + x*b", XAB, 8)
-    delta = m.require_unit_delta()
+    delta = m.delta()
     ax_wrong = (m.d("x") * m.d("xb") - m.d("b") * m.d("xx")).div(delta)  # sign flipped
     bx = (m.d("x") * m.d("xa") - m.d("a") * m.d("xx")).div(delta)
     lhs = (
@@ -258,7 +255,7 @@ def _loop_third_jet_expanded(m, t):
     """Reference for ``third_jet_expanded``: the table summed row by row."""
     xv, av, bv = m.q.vars
     result = None
-    for word, coeff, qfactors, det1, det2 in tr.THIRD_JET_TABLE:
+    for word, coeff, qfactors, det1, det2 in audit.THIRD_JET_TABLE:
         term = t
         for ch in word:
             term = term.derive(av if ch == "a" else bv)
@@ -287,16 +284,16 @@ def test_grouped_third_jet_table_matches_row_sum():
 
 def test_third_jet_fault_injection():
     q, t = section5_pair(101, 6)
-    original = tr.THIRD_JET_TABLE
+    original = audit.THIRD_JET_TABLE
     flipped = ((original[0][0], -original[0][1]) + original[0][2:],) + original[1:]
-    tr.THIRD_JET_TABLE = flipped
+    audit.THIRD_JET_TABLE = flipped
     try:
         witness = third_jet_check(SolutionManifold(q), t)
         assert witness is not None
         mono, coeff = witness
         assert not coeff.is_zero()
     finally:
-        tr.THIRD_JET_TABLE = original
+        audit.THIRD_JET_TABLE = original
 
 
 def test_determinant_derivative_identities():
@@ -319,7 +316,7 @@ def test_repeated_column_determinants_vanish():
 def test_each_determinant_species_is_evaluated_once(monkeypatch):
     q, _ = section5_pair(202, 6)
     m = SolutionManifold(q)
-    species = sorted({pair for entry in tr.THIRD_JET_TABLE for pair in entry[3:]})
+    species = sorted({pair for entry in audit.THIRD_JET_TABLE for pair in entry[3:]})
     products = []
     mul = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: products.append(1) or mul(f, g))
