@@ -6,8 +6,10 @@ nondegenerate hypersurface given by a complex defining equation
 explicit sixth-order polynomial differential expression in the jet of
 ``Theta`` -- together with the supporting calculus: exact truncated
 series arithmetic over Gaussian rationals, real-to-complex conversion,
-parameter elimination to a second-order ODE, Tresse invariants, a
-rigid-case shortcut and duality cross-checks.
+parameter elimination to a second-order ODE, Tresse invariants and
+duality cross-checks.  A rigid surface ``w = -wb + Xi(z, zb)`` gets the
+same verdict (``rigid_verdict``); the seven-term rigid formula
+(``rigid_invariant``) is the route ``self-test`` and the tests compare.
 
 The audit of the paper's jet-transfer formulas is not re-exported here:
 it lives in ``crsphere.selftest``, which only ``self-test`` and the tests
@@ -42,6 +44,7 @@ from .invariants import (
     aj6,
     koppisch_check,
     rigid_invariant,
+    rigid_verdict,
     sphericality_verdict,
     tresse_invariants,
 )

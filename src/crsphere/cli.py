@@ -30,19 +30,18 @@ from .defining import (
     RealGraph,
     levi_delta,
     to_complex_defining,
-    verify_reality,
 )
 from .errors import CrsError, InternalCheckError
-from .invariants import koppisch_check, rigid_invariant, sphericality_verdict
+from .invariants import (
+    koppisch_check, levi_stage, reality_stage, rigid_verdict, sphericality_verdict
+)
 from .parsing import parse_series, render_series
 from .report import (
     Report,
     StageClock,
     VERDICT_ERROR,
-    VERDICT_LEVI_DEGENERATE,
     VERDICT_NON_SPHERICAL,
     VERDICT_OK,
-    VERDICT_REALITY_VIOLATED,
     VERDICT_SPHERICAL,
     render_report,
 )
@@ -118,16 +117,7 @@ def _check(cfg: JobConfig, clock: StageClock) -> Report:
 
 def _verify_reality(cfg: JobConfig, clock: StageClock) -> Report:
     d = clock("parse", lambda: _parse_theta(cfg))
-    witness = clock("reality", lambda: verify_reality(d))
-    if witness is None:
-        return Report(VERDICT_OK, tested_order=d.theta.order)
-    mono, coeff = witness
-    return Report(
-        VERDICT_REALITY_VIOLATED,
-        tested_order=d.theta.order,
-        witness_monomial=mono,
-        witness_coefficient=coeff,
-    )
+    return reality_stage(d, clock) or Report(VERDICT_OK, tested_order=d.theta.order)
 
 
 def _to_complex(cfg: JobConfig, clock: StageClock) -> Report:
@@ -146,18 +136,14 @@ def _to_complex(cfg: JobConfig, clock: StageClock) -> Report:
 
 def _derive_ode(cfg: JobConfig, clock: StageClock) -> Report:
     d = clock("parse", lambda: _parse_theta(cfg))
-    delta, nondegenerate = clock("levi", lambda: levi_delta(d))
-    if not nondegenerate:
-        return Report(
-            VERDICT_LEVI_DEGENERATE,
-            tested_order=d.theta.order,
-            delta_at_origin=delta.constant_term(),
-        )
+    degenerate = levi_stage(d, clock)
+    if degenerate is not None:
+        return degenerate
     f = clock("eliminate", lambda: associated_ode(d.manifold, cfg.order))
     return Report(
         VERDICT_OK,
         tested_order=f.order,
-        delta_at_origin=delta.constant_term(),
+        delta_at_origin=d.manifold.delta().constant_term(),
         payload={"ode_rhs": clock("render", lambda: render_series(f)), "ode_vars": list(f.vars)},
     )
 
@@ -176,31 +162,7 @@ def _rigid_check(cfg: JobConfig, clock: StageClock) -> Report:
     if cfg.xi is None:
         raise ValueError("'rigid-check' needs a rigid part (--xi)")
     xi = clock("parse", lambda: parse_series(cfg.xi, XI_VARS, cfg.order))
-    defect = clock(
-        "reality", lambda: xi - xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS)
-    )
-    if not defect.is_zero():
-        mono, coeff = defect.lowest_term()
-        return Report(
-            VERDICT_REALITY_VIOLATED,
-            tested_order=xi.order,
-            witness_monomial=mono,
-            witness_coefficient=coeff,
-        )
-    levi = clock("levi", lambda: xi.derive("z").derive("zb").constant_term())
-    if levi.is_zero():
-        return Report(VERDICT_LEVI_DEGENERATE, tested_order=xi.order, delta_at_origin=levi)
-    inv = clock("invariant", lambda: rigid_invariant(xi))
-    if inv.is_zero():
-        return Report(VERDICT_SPHERICAL, tested_order=inv.order, delta_at_origin=levi)
-    mono, coeff = inv.lowest_term()
-    return Report(
-        VERDICT_NON_SPHERICAL,
-        tested_order=inv.order,
-        witness_monomial=mono,
-        witness_coefficient=coeff,
-        delta_at_origin=levi,
-    )
+    return rigid_verdict(xi, clock)
 
 
 def _dual(cfg: JobConfig, clock: StageClock) -> Report:
@@ -375,6 +337,10 @@ def _config_from_args(args) -> JobConfig:
     )
 
 
+def _error(message: str) -> Report:
+    return Report(VERDICT_ERROR, tested_order=0, payload={"message": message})
+
+
 def main(argv=None) -> int:
     pretty = False
     output = None
@@ -385,18 +351,18 @@ def main(argv=None) -> int:
         report = run_job(_config_from_args(args))
         code = 0
     except InternalCheckError as exc:
-        report = Report(VERDICT_ERROR, tested_order=0, payload={"message": str(exc)})
-        code = 2
+        report, code = _error(str(exc)), 2
     except (CrsError, ValueError, OSError) as exc:
-        report = Report(VERDICT_ERROR, tested_order=0, payload={"message": str(exc)})
-        code = 1
+        report, code = _error(str(exc)), 1
     try:
         text = render_report(report, pretty=pretty)
     except ValueError as exc:  # a number too long for decimal text
-        text = render_report(Report(VERDICT_ERROR, tested_order=0, payload={"message": str(exc)}),
-                             pretty=pretty)
-        code = 1
-    _emit(text, output)
+        text, code = render_report(_error(str(exc)), pretty=pretty), 1
+    try:
+        _emit(text, output)
+    except OSError as exc:  # the report cannot be written: say so on stdout
+        _emit(render_report(_error(f"cannot write {output}: {exc.strerror}"), pretty=pretty), None)
+        return 1
     return code
 
 

@@ -14,7 +14,11 @@ cross-checked:
   rigid part with integer coefficients ``+1, -6, -4, -1, +15, +10, -15``.
 
 Vanishing of any of them (equivalently all of them) to the achieved
-order is the sphericality verdict at that order.
+order is the sphericality verdict at that order.  The verdict runs in
+stages, each with its report: reality, then Levi form, ``aj4`` and
+``aj6``.  ``rigid-check`` runs the Hermitian check of ``Xi`` and then the
+same stages on ``-wb + Xi``: the seven-term formula is the route of
+``self-test`` and the tests, not of a verdict.
 
 The verdict makes no division.  On the solution manifold ``y = Q = Theta``
 write ``L0[T] = Q_a T_b - Q_b T_a``, so that the transferred operator is
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .defining import XI_VARS, ComplexDefining, levi_delta, verify_reality
+from .defining import THETA_VARS, XI_VARS, ComplexDefining, levi_delta, verify_reality
 from .errors import CrsError, DegenerateError, InternalCheckError, RealityError
 from .rational import ONE, GaussRat
 from .report import (
@@ -151,12 +155,6 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     )
 
 
-def _require_levi(d: ComplexDefining) -> None:
-    _, nondegenerate = levi_delta(d)
-    if not nondegenerate:
-        raise DegenerateError("Levi form vanishes at the origin")
-
-
 def _l0(qa: TruncSeries, qb: TruncSeries, t: TruncSeries, order: Optional[int] = None):
     """``qa T_b - qb T_a`` on the manifold space, known to ``order``: by
     default the known order of ``T_a``, the most the products keep.  Every
@@ -190,8 +188,9 @@ def _aj4_numerator(d: ComplexDefining) -> TruncSeries:
     the order the step keeps, and kept on ``d`` for ``aj6``.
     """
     if d.aj4_numerator is None:
-        _require_levi(d)
         m = d.manifold
+        if not m.solvable:
+            raise DegenerateError("Levi form vanishes at the origin")
         num = _aj4_direct(d.theta)
         qa, qb, delta = m.d("a"), m.d("b"), m.delta()
         p = _l0(qa, qb, m.d("xx"))
@@ -228,6 +227,14 @@ def aj6(d: ComplexDefining) -> TruncSeries:
     return _step(op, _step(op, num, _THREE), _FIVE)
 
 
+def hermitian_witness(xi: TruncSeries) -> Optional[tuple]:
+    """``None`` when the rigid part is Hermitian symmetric, else the lowest
+    term of ``Xi - conj(Xi)(zb, z)`` as a ``(monomial, coefficient)``
+    witness over ``(z, zb)``."""
+    defect = xi - xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS)
+    return defect.lowest_term()
+
+
 def rigid_invariant(xi: TruncSeries) -> TruncSeries:
     """The rigid seven-term obstruction for ``w = -wb + Xi(z, zb)``.
 
@@ -246,7 +253,7 @@ def rigid_invariant(xi: TruncSeries) -> TruncSeries:
     """
     if xi.vars != XI_VARS:
         raise CrsError(f"rigid part must use variables {XI_VARS}, got {xi.vars}")
-    if not xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS) == xi:
+    if hermitian_witness(xi) is not None:
         raise RealityError("rigid part is not Hermitian symmetric")
 
     # z1[j] and z2[j]: one and two z-derivatives, then j zb-derivatives
@@ -313,6 +320,38 @@ def koppisch_check(m: SolutionManifold, order: int) -> KoppischReport:
     return rep
 
 
+def _violated(witness: tuple, order: int) -> Report:
+    return Report(VERDICT_REALITY_VIOLATED, order, *witness)
+
+
+def reality_stage(d: ComplexDefining, clock: StageClock) -> Optional[Report]:
+    """The ``reality-violated`` report of ``d``, or ``None``."""
+    witness = clock("reality", lambda: verify_reality(d))
+    return None if witness is None else _violated(witness, d.theta.order)
+
+
+def levi_stage(d: ComplexDefining, clock: StageClock) -> Optional[Report]:
+    """The ``levi-degenerate`` report of ``d``, or ``None``."""
+    delta, nondegenerate = clock("levi", lambda: levi_delta(d))
+    if nondegenerate:
+        return None
+    return Report(VERDICT_LEVI_DEGENERATE, d.theta.order, delta_at_origin=delta.constant_term())
+
+
+def verdict_tail(d: ComplexDefining, clock: StageClock) -> Report:
+    """The stages after reality: Levi form, ``aj4`` with its cross-check,
+    ``aj6``, and the report."""
+    degenerate = levi_stage(d, clock)
+    if degenerate is not None:
+        return degenerate
+    delta0 = d.manifold.delta().constant_term()
+    clock("aj4", lambda: _aj4_numerator(d))  # kept on ``d``; timed apart from aj6
+    obstruction = clock("aj6", lambda: aj6(d))
+    if obstruction.is_zero():
+        return Report(VERDICT_SPHERICAL, obstruction.order, delta_at_origin=delta0)
+    return Report(VERDICT_NON_SPHERICAL, obstruction.order, *obstruction.lowest_term(), delta0)
+
+
 def sphericality_verdict(
     d: ComplexDefining, order: int, clock: Optional[StageClock] = None
 ) -> Report:
@@ -321,54 +360,43 @@ def sphericality_verdict(
     Total on its defining-function input: every failure mode becomes a
     verdict, never an exception.  ``tested_order`` reports the order the
     final series is actually exact to after derivative losses.  The
-    stages are timed by ``clock`` (the report's timings are its map).
+    stages are timed by ``clock``.
     """
-    if clock is None:
-        clock = StageClock()
-    timings = clock.timings
-
+    clock = clock or StageClock()
     # without truncation the caller's ``d`` is reused, keeping what is computed here
     work = d
     if d.theta.order > order:
         work = ComplexDefining.from_theta(d.theta.truncate(order))
+    return reality_stage(work, clock) or verdict_tail(work, clock)
 
-    witness = clock("reality", lambda: verify_reality(work))
+
+def rigid_verdict(xi: TruncSeries, clock: Optional[StageClock] = None) -> Report:
+    """The verdict for the rigid surface ``w = -wb + Xi(z, zb)``.
+
+    The reality stage checks that ``Xi`` is Hermitian.  The tail runs on
+    ``Theta = -wb + Xi>=2`` (the terms of degree 2 and up: the rest is a
+    holomorphic change of coordinates away, and neither the Levi factor
+    nor the seven-term formula reads it), formed in the Levi stage.  There
+    ``delta = u = Xi_z,zb`` and ``aj6 = u^7 rigid_invariant(Xi)``, with no
+    ``wb``, so a witness maps back to ``(z, zb)`` with its coefficient
+    divided by ``u(0)^7``.
+    """
+    clock = clock or StageClock()
+    witness = clock("reality", lambda: hermitian_witness(xi))
     if witness is not None:
-        mono, coeff = witness
-        return Report(
-            verdict=VERDICT_REALITY_VIOLATED,
-            tested_order=work.theta.order,
-            witness_monomial=mono,
-            witness_coefficient=coeff,
-            delta_at_origin=None,
-            timings=timings,
-        )
+        return _violated(witness, xi.order)
+    d = clock("levi", lambda: ComplexDefining(_rigid_theta(xi), rigid=True))
+    report = verdict_tail(d, clock)
+    if report.verdict == VERDICT_NON_SPHERICAL:
+        u7 = report.delta_at_origin.re ** 7  # real, since Xi is Hermitian
+        c = report.witness_coefficient
+        report.witness_monomial = report.witness_monomial[:2]
+        report.witness_coefficient = GaussRat(c.re / u7, c.im / u7)
+    return report
 
-    delta, nondegenerate = clock("levi", lambda: levi_delta(work))
-    delta0 = delta.constant_term()
-    if not nondegenerate:
-        return Report(
-            verdict=VERDICT_LEVI_DEGENERATE,
-            tested_order=work.theta.order,
-            delta_at_origin=delta0,
-            timings=timings,
-        )
 
-    clock("aj4", lambda: _aj4_numerator(work))  # kept on ``work``; timed apart from aj6
-    obstruction = clock("aj6", lambda: aj6(work))
-    if obstruction.is_zero():
-        return Report(
-            verdict=VERDICT_SPHERICAL,
-            tested_order=obstruction.order,
-            delta_at_origin=delta0,
-            timings=timings,
-        )
-    mono, coeff = obstruction.lowest_term()
-    return Report(
-        verdict=VERDICT_NON_SPHERICAL,
-        tested_order=obstruction.order,
-        witness_monomial=mono,
-        witness_coefficient=coeff,
-        delta_at_origin=delta0,
-        timings=timings,
-    )
+def _rigid_theta(xi: TruncSeries) -> TruncSeries:
+    """``-wb + Xi>=2`` over ``(z, zb, wb)``."""
+    k = xi.order
+    high = xi - xi.homogeneous_part(0, k) - xi.homogeneous_part(1, k)
+    return high.extend(THETA_VARS) - TruncSeries.variable("wb", THETA_VARS, k)

@@ -50,7 +50,7 @@ class StageClock:
     """Wall time of named stages in integer microseconds, kept only when enabled.
 
     ``clock(stage, fn)`` runs ``fn()`` and returns its result; ``timings``
-    is the ``Report.timings`` map it fills.
+    is the ``Report.timings`` map it fills, summing the calls of a stage.
     """
 
     def __init__(self, enabled: bool = False):
@@ -61,7 +61,8 @@ class StageClock:
         start = perf_counter_ns()
         result = fn()
         if self.enabled:
-            self.timings[stage] = (perf_counter_ns() - start) // 1000
+            elapsed = (perf_counter_ns() - start) // 1000
+            self.timings[stage] = self.timings.get(stage, 0) + elapsed
         return result
 
 

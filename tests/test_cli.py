@@ -11,17 +11,30 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crsphere.cli as cli
 import crsphere.invariants as inv
 import crsphere.selftest as audit
 import crsphere.transfer as tr
 from crsphere.cli import main
+from crsphere.defining import XI_VARS
+from crsphere.invariants import rigid_invariant
+from crsphere.parsing import render_series
 from crsphere.rational import GaussRat
-from crsphere.report import VERDICT_NON_SPHERICAL, Report
+from crsphere.report import (
+    VERDICT_LEVI_DEGENERATE,
+    VERDICT_NON_SPHERICAL,
+    VERDICT_REALITY_VIOLATED,
+    VERDICT_SPHERICAL,
+    Report,
+    render_report,
+)
 from crsphere.series import TruncSeries
 
-from conftest import check_theta
+from conftest import check_theta, gauss_rats
+from random_inputs import random_hermitian_xi
 
 FIXED_KEYS = [
     "verdict",
@@ -155,10 +168,56 @@ def test_aj4_disagreement_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(
         inv, "_aj4_direct", lambda theta: direct(theta) + TruncSeries.one(theta.vars, theta.order)
     )
-    code = main(["check", "--theta", "-wb + z*zb", "--order", "8"])
-    out = json.loads(capsys.readouterr().out)  # exactly one document
-    assert code == 2
-    assert out["verdict"] == "error"
+    # ``rigid-check`` runs the same cross-checked verdict on ``-wb + Xi``
+    for argv in (["check", "--theta", "-wb + z*zb"], ["rigid-check", "--xi", "z*zb"]):
+        code = main([*argv, "--order", "8"])
+        out = json.loads(capsys.readouterr().out)  # exactly one document
+        assert code == 2
+        assert out["verdict"] == "error"
+
+
+def test_rigid_check_makes_no_division(capsys, monkeypatch):
+    calls = []
+    div = TruncSeries.div
+    monkeypatch.setattr(TruncSeries, "div", lambda f, g: calls.append(1) or div(f, g))
+    code = main(["rigid-check", "--xi", "2*z*zb + z^4*zb^2 + z^2*zb^4", "--order", "16"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "non-spherical"
+    assert calls == []  # the witness coefficient is divided by u(0)^7 as a scalar
+
+
+def _seven_term_report(xi: TruncSeries) -> Report:
+    """The ``rigid-check`` report by the seven-term formula alone: the
+    Hermitian defect of ``Xi``, its Levi factor ``Xi_z,zb(0)``, then the
+    lowest term of ``rigid_invariant``."""
+    defect = xi - xi.conjugate({"z": "zb", "zb": "z"}).reorder(XI_VARS)
+    if not defect.is_zero():
+        return Report(VERDICT_REALITY_VIOLATED, xi.order, *defect.lowest_term())
+    levi = xi.derive("z").derive("zb").constant_term()
+    if levi.is_zero():
+        return Report(VERDICT_LEVI_DEGENERATE, xi.order, delta_at_origin=levi)
+    obstruction = rigid_invariant(xi)
+    if obstruction.is_zero():
+        return Report(VERDICT_SPHERICAL, obstruction.order, delta_at_origin=levi)
+    return Report(VERDICT_NON_SPHERICAL, obstruction.order, *obstruction.lowest_term(), levi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32), st.integers(7, 16), st.sampled_from([1, 2, 5]),
+    gauss_rats, gauss_rats, gauss_rats,
+)
+def test_rigid_check_matches_the_seven_term_formula(seed, order, u0, const, lin, harmonic):
+    # a Hermitian Xi with Levi factor u0 and constant, linear and pure-harmonic terms
+    low = {
+        (0, 0): GaussRat(const.re),
+        (1, 0): lin, (0, 1): lin.conj(),
+        (1, 1): GaussRat.of(u0 - 1),
+        (2, 0): harmonic, (0, 2): harmonic.conj(),
+    }
+    xi = random_hermitian_xi(random.Random(seed), order) + TruncSeries(XI_VARS, low, order)
+    report = cli.run_job(cli.JobConfig(command="rigid-check", xi=render_series(xi), order=order))
+    assert render_report(report) == render_report(_seven_term_report(xi))
 
 
 def test_job_file_input(tmp_path, capsys):
@@ -193,6 +252,23 @@ def test_output_file_written_atomically(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["verdict"] == "spherical-to-order"
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".crsphere-")]
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [("missing/r.json", "No such file or directory"), ("directory", "Is a directory")],
+)
+def test_unwritable_output_is_one_error_report(tmp_path, target, message):
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    proc = run_cli(["check", "--theta=-wb + z*zb", "--output", str(path)], timeout=30)
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)  # exactly one document
+    assert out["verdict"] == "error"
+    assert out["message"] == f"cannot write {path}: {message}"
+    assert proc.stderr == ""
+    assert os.listdir(tmp_path) == ["directory"]  # no temporary file is left
+    assert os.listdir(tmp_path / "directory") == []
 
 
 def test_env_order_cap(capsys, monkeypatch):
@@ -282,7 +358,7 @@ def test_report_without_timings_is_pinned(command, capsys):
         # a nonzero right-hand side, so that rendering it takes a measurable time
         (["derive-ode", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "levi", "eliminate", "render"}),
         (["dual", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "dual", "koppisch", "render"}),
-        (["rigid-check", "--xi", "z*zb + z^2*zb^2"], {"parse", "reality", "levi", "invariant"}),
+        (["rigid-check", "--xi", "z*zb + z^2*zb^2"], {"parse", "reality", "levi", "aj4", "aj6"}),
     ],
 )
 def test_timings_are_integer_microseconds(argv, stages, capsys):
