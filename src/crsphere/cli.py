@@ -45,7 +45,6 @@ from .report import (
     VERDICT_SPHERICAL,
     render_report,
 )
-from .transfer import associated_ode
 
 DEFAULT_ORDER = 10
 DEFAULT_ORDER_CAP = 16
@@ -139,7 +138,7 @@ def _derive_ode(cfg: JobConfig, clock: StageClock) -> Report:
     degenerate = levi_stage(d, clock)
     if degenerate is not None:
         return degenerate
-    f = clock("eliminate", lambda: associated_ode(d.manifold, cfg.order))
+    f = clock("eliminate", lambda: d.manifold.ode(cfg.order))
     return Report(
         VERDICT_OK,
         tested_order=f.order,
@@ -309,12 +308,8 @@ def _config_from_args(args) -> JobConfig:
     theta = getattr(args, "theta", None) or values.get("theta")
     xi = getattr(args, "xi", None) or values.get("xi")
     phi = getattr(args, "phi", None) or values.get("phi")
-    if args.vars:
-        vars_ = tuple(v.strip() for v in args.vars.split(","))
-    elif "vars" in values:
-        vars_ = tuple(v.strip() for v in values["vars"].split(","))
-    else:
-        vars_ = THETA_VARS
+    names = args.vars or values.get("vars")
+    vars_ = THETA_VARS if names is None else tuple(v.strip() for v in names.split(","))
     if args.order is not None:
         order = args.order
     elif "order" in values:
@@ -358,12 +353,17 @@ def main(argv=None) -> int:
         text = render_report(report, pretty=pretty)
     except ValueError as exc:  # a number too long for decimal text
         text, code = render_report(_error(str(exc)), pretty=pretty), 1
-    try:
-        _emit(text, output)
-    except OSError as exc:  # the report cannot be written: say so on stdout
-        _emit(render_report(_error(f"cannot write {output}: {exc.strerror}"), pretty=pretty), None)
-        return 1
-    return code
+    while True:
+        try:
+            _emit(text, output)
+            return code
+        except OSError as exc:
+            if output is None:  # stdout is closed: devnull takes the exit flush (signal docs)
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 1
+            # the report cannot be written: say so on stdout
+            text = render_report(_error(f"cannot write {output}: {exc.strerror}"), pretty=pretty)
+            output, code = None, 1
 
 
 if __name__ == "__main__":

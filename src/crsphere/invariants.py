@@ -52,7 +52,7 @@ from .report import (
     VERDICT_SPHERICAL,
 )
 from .series import TruncSeries
-from .transfer import SolutionManifold, associated_ode
+from .transfer import SolutionManifold
 
 
 @dataclass(frozen=True)
@@ -304,9 +304,8 @@ def koppisch_check(m: SolutionManifold, order: int) -> KoppischReport:
     ``Q`` so that both sides reach the same depth; vanishing is then
     decided at the common achieved order.
     """
-    inv = tresse_invariants(associated_ode(m, order))
-    dual = m.dual(m.q.order)
-    dual_inv = tresse_invariants(associated_ode(dual, order))
+    inv = tresse_invariants(m.ode(order))
+    dual_inv = tresse_invariants(m.dual(m.q.order).ode(order))
     k = min(inv.i1.order, inv.i2.order, dual_inv.i1.order, dual_inv.i2.order)
     rep = KoppischReport(
         i1_vanishes=inv.i1.truncate(k).is_zero(),

@@ -11,14 +11,15 @@ Grammar (whitespace insignificant, no implicit multiplication)::
 ``parse_series`` evaluates the text while it parses it: one recursive
 descent over the tokens builds a ``TruncSeries`` over a declared variable
 list, every value known to the working order and held in the series'
-cleared form.  Products go through the series' product, where a side
-of one term is a shift and a scale of the other side, not a convolution,
-so a term of numbers, ``i`` and variable powers stays one numerator
-entry; the terms of a sum are added into one map.  A character outside
-the grammar is reported before anything else; every other error is
-raised where the descent meets it, so errors come in text order, each
-with its offset in the text.  ``render_series`` produces canonical text
-that parses back to the same series (the round-trip property).
+cleared form.  A term of numbers, ``i`` and variable powers becomes one
+numerator entry with no series product: its key, numerator and
+denominator are multiplied as ints, and checked against ``MAX_COEFF_BITS``
+at the factor where a running bound on their bits passes it.  Other
+factors go through the series' product; a sum is added into one map.
+Errors come in text order, each with its offset in the text: a character
+outside the grammar first, then each error where the descent meets it.
+``render_series`` produces canonical text that parses back to the same
+series (the round-trip property).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import ExprSyntaxError
 from .rational import GaussRat
-from .series import TruncSeries, _combine, _key, _product
+from .series import _BITS, TruncSeries, _combine, _key, _product
 
 MAX_EXPONENT = 9999
 MAX_DEPTH = 100  # parenthesis nesting; keeps the descent off the recursion limit
@@ -64,8 +65,8 @@ class _Descent:
     """The evaluating recursive descent over the tokens of one text.
 
     Each method consumes its rule's tokens and returns the rule's value;
-    every value met is checked against ``MAX_COEFF_BITS``, except a
-    variable, ``i`` and a power's base passed through unchanged.
+    each literal, sum, power and product with a series is checked against
+    ``MAX_COEFF_BITS``, and a term's monomial as ``term`` describes.
     """
 
     def __init__(self, text: str, vars: tuple, order: int):
@@ -75,12 +76,13 @@ class _Descent:
         self.depth = 0
         self.vars = vars
         self.order = order
+        self.top = order << _BITS * len(vars)  # the least key of degree ``order``
+        self.units = {v: _key([int(u == v) for u in vars]) for v in vars}
 
     def constant(self, re: int, im: int, den: int) -> TruncSeries:
         if not (re or im) or not self.order:
             return self.zero
-        origin = _key((0,) * len(self.vars))
-        return TruncSeries._reduced(self.vars, self.order, den, {origin: (re, im)})
+        return TruncSeries._reduced(self.vars, self.order, den, {0: (re, im)})  # 0 keys the origin
 
     def expr(self) -> TruncSeries:
         tokens = self.tokens
@@ -99,13 +101,37 @@ class _Descent:
                 return _bounded(_combine(parts))
 
     def term(self) -> TruncSeries:
-        value = self.factor()
-        while self.tokens[self.i][0] == "*":
+        """A product.  Numbers, ``i`` and variable powers multiply one monomial,
+        zero from the order on; it is folded into ``value``, and the product
+        checked, before any other factor and when ``bound`` passes the limit."""
+        value = None  # the product of the factors before the monomial; None for 1
+        key, re, im, den, bound = 0, 1, 0, 1, 0
+        while True:
+            f = self.factor()
+            if type(f) is tuple:
+                k, r, i, d, bits = f
+                key, den, bound = key + k, den * d, bound + bits
+                re, im = (re * r - im * i, re * i + im * r) if key < self.top else (0, 0)
+            if type(f) is not tuple or bound > MAX_COEFF_BITS:  # fold the monomial into value
+                if value is not None or (key, re, im) != (0, den, 0):
+                    value = _bounded(self.times(value, key, re, im, den))
+                if type(f) is not tuple:
+                    value = f if value is None else _bounded(_product(value, f, self.order))
+                key, re, im, den, bound = 0, 1, 0, 1, MAX_COEFF_BITS
+            if self.tokens[self.i][0] != "*":
+                return self.times(value, key, re, im, den)
             self.i += 1
-            value = _bounded(_product(value, self.factor(), self.order))
-        return value
 
-    def factor(self) -> TruncSeries:
+    def times(self, value: Optional[TruncSeries], key: int, re: int, im: int, den: int):
+        """``value`` (``None`` for 1) times the monomial ``(re + im*i)/den`` at ``key``."""
+        if value is not None and (key, re, im) == (0, den, 0):
+            return value
+        mono = TruncSeries._reduced(self.vars, self.order, den, {key: (re, im)} if re or im else {})
+        return mono if value is None else _product(value, mono, self.order)
+
+    def factor(self):
+        """A series, or a monomial factor ``(key, re, im, den, bits)``, where
+        ``bits`` bounds how many bits it adds to a product."""
         base = self.base()
         if self.tokens[self.i][0] != "^":
             return base
@@ -116,9 +142,13 @@ class _Descent:
         exponent = int(value)
         if exponent > MAX_EXPONENT:
             raise ExprSyntaxError(f"exponent {exponent} exceeds {MAX_EXPONENT}", pos)
+        if type(base) is tuple:
+            if base[0]:  # a variable: zero once the power reaches the order
+                return (base[0] * exponent, 1, 0, 1, 0) if exponent < self.order else (0, 0, 0, 1, 0)
+            base = self.constant(*base[1:4])  # a number or i
         return self.power(base, exponent)
 
-    def base(self) -> TruncSeries:
+    def base(self):
         kind, value, pos = self.tokens[self.i]
         self.i += 1
         if kind == "int":
@@ -130,16 +160,15 @@ class _Descent:
                 den = int(value) if kind == "int" else 0
                 if not den:
                     raise ExprSyntaxError("denominator must be a positive integer", pos)
-            return _bounded(self.constant(num, 0, den))
+            if (bits := max(num, den).bit_length()) > MAX_COEFF_BITS:  # checked once reduced
+                _bounded(self.constant(num, 0, den))
+            return 0, num, 0, den, bits
         if kind == "name":
             if value == "i":
-                return self.constant(0, 1, 1)
+                return 0, 0, 1, 1, 0
             if value not in self.vars:
                 raise ExprSyntaxError(f"undeclared variable {value!r}", pos)
-            if self.order < 2:
-                return self.zero
-            key = _key([int(v == value) for v in self.vars])
-            return TruncSeries._make(self.vars, self.order, 1, {key: (1, 0)})
+            return self.units[value], 1, 0, 1, 0
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:

@@ -29,7 +29,7 @@ from .invariants import aj6, koppisch_check, rigid_invariant, tresse_invariants
 from .parsing import parse_series
 from .rational import GaussRat
 from .series import TruncSeries
-from .transfer import SolutionManifold, associated_ode
+from .transfer import SolutionManifold
 
 
 @dataclass(frozen=True)
@@ -369,26 +369,24 @@ def _fail(name: str, detail) -> None:
     raise InternalCheckError(f"self-test {name!r} failed: {detail}")
 
 
-def transferred_i1(theta: TruncSeries, order: int) -> TruncSeries:
-    """The Tresse ``I1`` of the eliminated ODE, pulled back to the
-    defining-function space via ``(x, y, yx) -> (z, Theta, Theta_z)``."""
-    m = SolutionManifold(theta)
-    inv = tresse_invariants(associated_ode(m, order))
+def transferred_i1(m: SolutionManifold, order: int) -> TruncSeries:
+    """The Tresse ``I1`` of the ODE of ``m`` eliminated to ``order``, pulled back
+    to the space of ``Theta = m.q`` via ``(x, y, yx) -> (z, Theta, Theta_z)``."""
+    theta = m.q
     z = TruncSeries.variable("z", theta.vars, theta.order)
-    return inv.i1.substitute({"x": z, "y": theta, "yx": theta.derive("z")})
+    i1 = tresse_invariants(m.ode(order)).i1
+    return i1.substitute({"x": z, "y": theta, "yx": theta.derive("z")})
 
 
 def pipeline_equivalence(d: ComplexDefining, order: int):
-    """Keystone identity: transferred ``I1`` equals ``aj6 / delta^7``.
+    """Keystone identity on ``d``: ``I1`` of its ODE to ``order``, transferred,
+    equals ``aj6 / delta^7``.
 
     Returns ``None`` on exact agreement to the common order, else the
     lowest nonzero term of the difference.
     """
-    theta = d.theta.truncate(order)
-    work = ComplexDefining.from_theta(theta)
-    lhs = transferred_i1(theta, order)
-    rhs = aj6(work).div(work.manifold.delta().pow(7))
-    return (lhs - rhs).lowest_term()
+    rhs = aj6(d).div(d.manifold.delta().pow(7))
+    return (transferred_i1(d.manifold, order) - rhs).lowest_term()
 
 
 def _spherical_fixtures(order: int = 10) -> list:

@@ -115,7 +115,10 @@ def _product(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     A side of one term ``(k1, r1 + i1 i)`` is a shift and a scale: ``k1``
     is added to each key of the other side below ``(order - deg k1) <<
     shift``, and each numerator is multiplied by ``r1 + i1 i``; products
-    of nonzero Gaussian integers are nonzero, so none is filtered out."""
+    of nonzero Gaussian integers are nonzero, so none is filtered out.
+    Else the shorter side leads the convolution, one ``bisect`` per row:
+    both row lists are key-sorted, so either may.  ``_convolve`` does not
+    swap itself, as ``div`` gives it left rows of one degree in any order."""
     shift = _BITS * len(f.vars)
     one, other = (f, g) if len(f._num) == 1 else (g, f)
     if len(one._num) == 1:
@@ -125,7 +128,8 @@ def _product(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
                for k, (re, im) in other._num.items() if k < top}
     else:
         bound = order << shift
-        num = _nonzero(_convolve(_rows(f._num, bound), _rows(g._num, bound), order, shift, {}))
+        left, right = sorted((_rows(f._num, bound), _rows(g._num, bound)), key=len)
+        num = _nonzero(_convolve(left, right, order, shift, {}))
     return TruncSeries._reduced(f.vars, order, f._den * g._den, num)
 
 

@@ -10,7 +10,7 @@ conditions ``(a, b)``.  Eliminating the parameters gives ``F``
                | Q_xu  Q_xv |
 
 is evaluated once per manifold and kept beside the cached derivatives of
-``Q``, and so is the dual at each order it is asked for; ``det(a|b)`` is
+``Q``, as are the ODE and the dual at each order asked; ``det(a|b)`` is
 the master denominator ``delta``.  The paper's jet-transfer formulas are
 audited in ``selftest``.
 """
@@ -51,12 +51,15 @@ class SolutionManifold:
             self._cache[key] = s
         return self._cache[key]
 
+    def _kept(self, key: str, make):
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
     def det(self, u: str, v: str) -> TruncSeries:
         """The bordered determinant ``Q_u Q_xv - Q_v Q_xu``, evaluated once."""
-        key = u + "|" + v
-        if key not in self._cache:
-            self._cache[key] = self.d(u) * self.d("x" + v) - self.d(v) * self.d("x" + u)
-        return self._cache[key]
+        d = self.d
+        return self._kept(u + "|" + v, lambda: d(u) * d("x" + v) - d(v) * d("x" + u))
 
     def delta(self) -> TruncSeries:
         return self.det("a", "b")
@@ -66,12 +69,14 @@ class SolutionManifold:
         """Solvable with respect to the parameters at the origin."""
         return not self.delta().constant_term().is_zero()
 
+    def ode(self, order: int) -> TruncSeries:
+        """``associated_ode(self, order)``, eliminated once per effective order."""
+        key = f"ode@{min(order, self.q.order - 1)}"
+        return self._kept(key, lambda: associated_ode(self, order))
+
     def dual(self, order: int) -> "SolutionManifold":
         """``dual_manifold(self, order)``, built once per effective order."""
-        key = f"dual@{min(order, self.q.order)}"
-        if key not in self._cache:
-            self._cache[key] = dual_manifold(self, order)
-        return self._cache[key]
+        return self._kept(f"dual@{min(order, self.q.order)}", lambda: dual_manifold(self, order))
 
 
 def solve_parameters(m: SolutionManifold, order: int) -> Tuple[TruncSeries, TruncSeries]:

@@ -146,7 +146,7 @@ def test_criterion_7_non_spherical_detection():
         theta = parse_series("-wb + " + xi_txt, THETA_VARS, 12)
         d = ComplexDefining.from_theta(theta)
         cleared = aj6(d)
-        transferred = transferred_i1(theta, 12)
+        transferred = transferred_i1(d.manifold, 12)
         low_rigid = rigid_route.lowest_term()
         low_cleared = cleared.lowest_term()
         low_transferred = transferred.lowest_term()

@@ -271,6 +271,21 @@ def test_unwritable_output_is_one_error_report(tmp_path, target, message):
     assert os.listdir(tmp_path / "directory") == []
 
 
+@pytest.mark.parametrize("args", [["check", "--theta=-wb+z*zb", "--order", "8"], ["self-test"], None])
+def test_closed_stdout_exits_one_without_traceback(tmp_path, args):
+    # None: a report that cannot be written to --output, then not to stdout either
+    args = args or ["check", "--theta=-wb+z*zb", "--output", str(tmp_path / "missing" / "r.json")]
+    read, write = os.pipe()
+    os.close(read)  # no reader is left, so every write to the pipe fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "crsphere.cli", *args], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_env_order_cap(capsys, monkeypatch):
     monkeypatch.setenv("CRS_MAX_ORDER", "8")
     code = main(["check", "--theta", "-wb + z*zb", "--order", "14"])

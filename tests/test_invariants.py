@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crsphere.invariants as inv
+import crsphere.transfer as transfer
 from crsphere.defining import (
     Biholo,
     ComplexDefining,
@@ -470,10 +471,21 @@ def test_pipeline_equivalence_on_fixtures():
         assert pipeline_equivalence(d, 8) is None
 
 
+def test_self_test_checks_eliminate_once_per_manifold(monkeypatch):
+    calls = []
+    eliminate = transfer.associated_ode
+    monkeypatch.setattr(transfer, "associated_ode", lambda m, k: calls.append(m) or eliminate(m, k))
+    d = transform_defining(heisenberg(10), corpus_biholos(10)[0], 10)
+    assert pipeline_equivalence(d, 8) is None
+    koppisch_check(d.manifold, 8)
+    # the ODE of d's manifold is shared by both checks; the dual has its own
+    assert calls == [d.manifold, d.manifold.dual(10)]
+
+
 def test_pipeline_equivalence_deep_on_rigid_fixture():
     """At order 12 the comparison reaches past both pinned witnesses."""
     d = defining("-wb + z*zb + z^2*zb^2", 12)
-    lhs = transferred_i1(d.theta, 12)
+    lhs = transferred_i1(d.manifold, 12)
     m = SolutionManifold(d.theta)
     rhs = aj6(d).div(m.delta().pow(7))
     k = min(lhs.order, rhs.order)

@@ -81,6 +81,27 @@ def test_mul_matches_reference_kernel(pair):
 
 
 @st.composite
+def unequal_pairs(draw):
+    """``(f, g)`` of one space, ``g`` with at least two more stored terms."""
+    vars = draw(st.sampled_from(SPACES[1:]))
+    f = draw(series_in(vars, max_terms=4))
+    g = draw(series_in(vars, max_terms=16).filter(lambda g: len(g._num) >= len(f._num) + 2))
+    return f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(unequal_pairs())
+@example((parse_series("1 + z - w^2", ("z", "w"), 9), parse_series("(2 - z + 1/3*w)^6", ("z", "w"), 7)))
+def test_products_of_unequal_length_commute(pair):
+    # the convolution loops over the shorter side, in either argument order
+    f, g = pair
+    fg, gf = f * g, g * f
+    assert (fg.vars, fg.order, fg._den, fg._num) == (gf.vars, gf.order, gf._den, gf._num)
+    _same(fg, reference_mul(f, g))
+    _same(gf, reference_mul(g, f))
+
+
+@st.composite
 def one_term_pairs(draw):
     """``(f, g)`` with a side of exactly one stored term, on the left or the
     right; the other side may be one term too, zero or known to order 0."""

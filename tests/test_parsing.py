@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_parser
-from crsphere import series
+from crsphere import parsing, series
 from crsphere.errors import ExprSyntaxError
 from crsphere.fixtures import random_series
 from crsphere.parsing import (
@@ -76,6 +76,23 @@ def test_errors_come_in_text_order():
         parse_series(f"2^{MAX_COEFF_BITS}*z + (zb", VARS, 10)
     with pytest.raises(ExprSyntaxError, match=r"^expected a number, variable, 'i' or '\(' \(at position 10\)$"):
         parse_series(f"z + (zb + ) * 2^{MAX_COEFF_BITS}", VARS, 10)
+    # a term of literals fails at the factor whose product passes the bound,
+    # before a later error of the same term; a bound passed while the
+    # value stays small is no error
+    wide = f"{2 ** 2100}*z*{2 ** 2100}"
+    with pytest.raises(ValueError, match="bits"):
+        parse_series(f"{wide}*zb/2", VARS, 10)
+    with pytest.raises(ValueError, match="bits"):
+        parse_series(f"(z + 1)*{2 ** 3000}*{2 ** 1200}*zb/2", VARS, 10)
+    cancelling = f"{2 ** 3000}/{2 ** 2999}*z*{2 ** 2100}"
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_series(f"{cancelling}*zb/2", VARS, 10)
+    assert err.value.pos == len(cancelling) + 3
+    # factors after a monomial truncated away are still read and checked
+    with pytest.raises(ValueError, match="bits"):
+        parse_series(f"z^10*{2 ** 4096}", VARS, 10)
+    with pytest.raises(ExprSyntaxError, match="exceeds"):
+        parse_series(f"z^10*zb^{MAX_EXPONENT + 1}", VARS, 10)
 
 
 def test_exponent_overflow():
@@ -187,6 +204,10 @@ _SPACES = (VARS, ("x", "y", "v"), ("z", "zb"), ("a",))
 _UNDECLARED = ("q", "w", "zz", "x1")
 # big coefficients, each met as a value of its own: 2^4096 is one bit over
 _BIG = ("2^4000", "2^200", "7^1400", "(1/3)^2000", f"2^{MAX_COEFF_BITS}", f"{2 ** 4095}")
+# literals that take the running bit bound of a product past MAX_COEFF_BITS
+# in mid-term: the wide ones also its exact value, the cancelling ones not
+_WIDE = (str(2 ** 2100), f"1/{3 ** 1400}", f"{5 ** 900}/{3 ** 1300}")
+_CANCELLING = (f"{2 ** 3000}/{2 ** 2999}", f"{3 ** 2000}/{3 ** 1999}", f"{7 * 6 ** 1300}/{6 ** 1300}")
 
 
 def _base(draw, ctx, depth):
@@ -217,7 +238,24 @@ def _factor(draw, ctx, depth):
     return base if exponent is None or kind == "big" else f"{base}^{exponent}"
 
 
+def _chain(draw, ctx):
+    """A long term of numbers, ``p/q``, ``i``, ``i^n``, variables and
+    variable powers, with cancelling literals and, if ``big``, wide ones."""
+    vars_ = ctx["vars"]
+    atoms = st.one_of(
+        st.integers(0, 30).map(str),
+        st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 9)),
+        st.builds("i^{}".format, st.integers(0, 9)) | st.just("i"),
+        st.sampled_from(vars_),
+        st.builds("{}^{}".format, st.sampled_from(vars_), st.integers(0, 20)),
+        st.sampled_from(_CANCELLING + (_WIDE if ctx["big"] else ())),
+    )
+    return "*".join(draw(st.lists(atoms, min_size=2, max_size=40)))
+
+
 def _term(draw, ctx, depth):
+    if draw(st.integers(0, 4)) == 0:
+        return _chain(draw, ctx)
     if ctx["big"] and depth == 0 and draw(st.integers(0, 6)) == 0:
         v = draw(st.sampled_from(ctx["vars"]))
         if draw(st.booleans()):
@@ -262,6 +300,7 @@ _SYNTAX_ERRORS = (
     lambda t, v: t + " - 2^",
     lambda t, v: "^2 + " + t,
     lambda t, v: f"{t} * {v}/2",
+    lambda t, v: f"{t}*{v}*i^",
     lambda t, v: "(" * (MAX_DEPTH + 1 - _nesting(t)) + t + ")" * (MAX_DEPTH + 1 - _nesting(t)),
 )
 
@@ -313,17 +352,32 @@ def test_parsing_a_check_theta_multiplies_no_series(monkeypatch):
     calls = []
     mul = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+    products = []
+    product = series._product
+    counted = lambda *a: products.append(1) or product(*a)  # noqa: E731
+    monkeypatch.setattr(series, "_product", counted)
+    monkeypatch.setattr(parsing, "_product", counted)
     convolutions = []
     convolve = series._convolve
     monkeypatch.setattr(series, "_convolve", lambda *a: convolutions.append(1) or convolve(*a))
+    sizes = []
+    bits = TruncSeries.bits
+    monkeypatch.setattr(TruncSeries, "bits", lambda f: sizes.append(1) or bits(f))
     for text in texts:
         assert parse_series(text, VARS, 12) == reference_parser.parse_series(text, VARS, 12)
         # the reference multiplied once per number, ``i`` and variable
         assert len(calls) > 100
         calls.clear()
+        products.clear()
+        sizes.clear()
         convolutions.clear()
         parse_series(text, VARS, 12)
         assert calls == []
-        # every product of a check Theta has a one-term side, a shift and a
-        # scale; each went through the convolution before, about 173 per Theta
+        # each product has a one-term side, a shift and a scale
         assert convolutions == []
+        # a term of numbers, ``i`` and variable powers is one monomial: the
+        # only products multiply a parenthesised coefficient by one, and the
+        # only size checks are of sums; it was about 178 and 252 per Theta
+        groups = text.count("(")
+        assert 0 < len(products) <= 2 * groups
+        assert len(sizes) <= 2 * groups + 1

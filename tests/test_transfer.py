@@ -84,6 +84,15 @@ def test_associated_ode_nonzero_and_consistent():
     assert (composed - q.derive("x").derive("x")).is_zero()
 
 
+def test_ode_is_eliminated_once_per_effective_order():
+    m = manifold("-b + x*a + x^2*a^2", 8)
+    f = m.ode(7)
+    assert f == associated_ode(m, 7)
+    # the elimination is capped at q.order - 1 = 7
+    assert m.ode(8) is f and m.ode(7) is f
+    assert m.ode(5) == associated_ode(m, 5) and m.ode(5) is not f
+
+
 def test_correspondence_round_trip_random():
     rng = random.Random(31)
     for _ in range(5):
