@@ -18,9 +18,7 @@ import argparse
 import functools
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
 from .defining import (
     GRAPH_VARS,
@@ -50,36 +48,34 @@ DEFAULT_ORDER = 10
 DEFAULT_ORDER_CAP = 16
 
 
-@dataclass
 class JobConfig:
-    command: str
-    theta: Optional[str] = None
-    xi: Optional[str] = None
-    phi: Optional[str] = None
-    vars: tuple = THETA_VARS
-    order: int = DEFAULT_ORDER
-    timings: bool = False
+    """One job: the command, its input text, the working order (capped by
+    ``CRS_MAX_ORDER``, at least the command's minimum) and ``--timings``."""
 
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
+    __slots__ = ("command", "theta", "xi", "phi", "vars", "order", "timings")
+
+    def __init__(self, command: str, theta: str | None = None, xi: str | None = None,
+                 phi: str | None = None, vars: tuple = THETA_VARS, order: int = DEFAULT_ORDER,
+                 timings: bool = False):
+        if command not in COMMANDS:
+            raise ValueError(f"unknown command {command!r}")
         raw = os.environ.get("CRS_MAX_ORDER", str(DEFAULT_ORDER_CAP))
         try:
             cap = int(raw)
         except ValueError:
             raise ValueError(f"CRS_MAX_ORDER={raw!r} is not an integer") from None
-        minimum = COMMANDS[self.command].min_order
-        if self.order > cap:
+        minimum = COMMANDS[command].min_order
+        if order > cap:
             if cap < minimum:
                 raise ValueError(
-                    f"CRS_MAX_ORDER={raw!r} caps order {self.order} below the minimum"
-                    f" {minimum} for {self.command!r}"
+                    f"CRS_MAX_ORDER={raw!r} caps order {order} below the minimum"
+                    f" {minimum} for {command!r}"
                 )
-            self.order = cap
-        if self.order < minimum:
-            raise ValueError(
-                f"order {self.order} too small for {self.command!r} (minimum {minimum})"
-            )
+            order = cap
+        if order < minimum:
+            raise ValueError(f"order {order} too small for {command!r} (minimum {minimum})")
+        self.command, self.theta, self.xi, self.phi = command, theta, xi, phi
+        self.vars, self.order, self.timings = vars, order, timings
 
 
 def _read_job_file(path: str) -> dict:
@@ -180,13 +176,7 @@ def _dual(cfg: JobConfig, clock: StageClock) -> Report:
             "dual": clock("render", lambda: render_series(dual.q)),
             "dual_vars": list(dual.q.vars),
             "conjugate_equal": (dual.q - conj).is_zero(),
-            "koppisch": {
-                "i1_vanishes": koppisch.i1_vanishes,
-                "i2_vanishes": koppisch.i2_vanishes,
-                "dual_i1_vanishes": koppisch.dual_i1_vanishes,
-                "dual_i2_vanishes": koppisch.dual_i2_vanishes,
-                "order": koppisch.order,
-            },
+            "koppisch": koppisch._asdict(),  # its fields, in their order
         },
     )
 
@@ -202,15 +192,10 @@ def _self_test(cfg: JobConfig, clock: StageClock) -> Report:
     )
 
 
-class Command(NamedTuple):
-    """One row of the command table; the table's key is the command name."""
-
-    help: str
-    option: Optional[str]  # the option carrying the command's input
-    # the sixth-order pipeline loses six derivative orders; below seven it
-    # cannot report past degree zero
-    min_order: int
-    handler: Callable[[JobConfig, StageClock], Report]
+# A row of the command table, keyed by the command name: its help, the option carrying
+# its input (or None), its least order and its handler ``(cfg, clock) -> Report``.  The
+# sixth-order pipeline loses six derivative orders; below seven it cannot report past degree 0.
+Command = namedtuple("Command", "help option min_order handler")
 
 
 COMMANDS = {
@@ -243,10 +228,11 @@ def run_job(cfg: JobConfig) -> Report:
     return report
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
         return
+    import tempfile  # only a report written to a file needs it
     directory = os.path.dirname(os.path.abspath(output))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".crsphere-")
     try:

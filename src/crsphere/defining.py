@@ -20,18 +20,11 @@ use, and ``levi_delta`` reads the determinant from its cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
-from .errors import (
-    ArityError,
-    InternalCheckError,
-    NotSolvableError,
-)
-from .rational import GaussRat, ONE
+from .errors import ArityError, InternalCheckError
+from .rational import GaussRat, ONE, frozen
 from .series import TruncSeries
-from .solve import implicit_solve
 from .transfer import SolutionManifold
 
 THETA_VARS = ("z", "zb", "wb")
@@ -43,14 +36,13 @@ HALF = GaussRat.of("1/2")
 MINUS_I_HALF = GaussRat.of(0, "-1/2")  # 1/(2i)
 
 
-@dataclass(frozen=True)
 class RealGraph:
     """A real graphing function ``u = phi(x, y, v)`` vanishing to second order."""
 
-    phi: TruncSeries
+    __slots__ = ("phi",)
+    __setattr__ = __delattr__ = frozen
 
-    def __post_init__(self):
-        phi = self.phi
+    def __init__(self, phi: TruncSeries):
         if phi.vars != GRAPH_VARS:
             raise ArityError(f"real graph must use variables {GRAPH_VARS}, got {phi.vars}")
         if any(c.im != 0 for c in phi.terms.values()):
@@ -61,21 +53,30 @@ class RealGraph:
             mono = tuple(1 if v == name else 0 for v in GRAPH_VARS)
             if not phi.coeff(mono).is_zero():
                 raise ValueError("graphing function must have vanishing first derivatives")
+        object.__setattr__(self, "phi", phi)
 
 
-@dataclass
 class ComplexDefining:
-    """``Theta`` with its rigidity flag; always of the form ``-wb + O(2)``."""
+    """``Theta`` with its rigidity flag; always of the form ``-wb + O(2)``.
+    Equal by ``(theta, rigid)``: what is kept on it is not compared."""
 
-    theta: TruncSeries
-    rigid: bool = False
-    # kept by ``invariants`` once computed: the cross-checked numerator
-    # ``delta^3 aj4`` and the operator ``(delta Q_a, delta Q_b, L0[delta])``
-    # of the denominator-cleared recursion
-    aj4_numerator: Optional[TruncSeries] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    cleared_operator: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, theta: TruncSeries, rigid: bool = False):
+        self.theta = theta
+        self.rigid = rigid
+        # kept by ``invariants`` once computed: the cross-checked numerator
+        # ``delta^3 aj4``, the operator ``(delta Q_a, delta Q_b, L0[delta])``
+        # of the denominator-cleared recursion, and the obstruction ``aj6``
+        self.aj4_numerator = self.cleared_operator = self.aj6 = None
+
+    def __eq__(self, other):
+        if other.__class__ is not ComplexDefining:
+            return NotImplemented
+        return self.theta == other.theta and self.rigid == other.rigid
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ComplexDefining(theta={self.theta!r}, rigid={self.rigid!r})"
 
     @cached_property
     def manifold(self) -> SolutionManifold:
@@ -83,12 +84,12 @@ class ComplexDefining:
         return SolutionManifold(self.theta)
 
     @cached_property
-    def reality_witness(self) -> Optional[tuple]:
+    def reality_witness(self) -> tuple | None:
         """``verify_reality`` at the full known order, checked on first use."""
         return _reality_witness(self.theta)
 
     @staticmethod
-    def from_theta(theta: TruncSeries) -> "ComplexDefining":
+    def from_theta(theta: TruncSeries) -> ComplexDefining:
         if theta.vars != THETA_VARS:
             raise ArityError(f"defining function must use variables {THETA_VARS}")
         if not theta.constant_term().is_zero():
@@ -102,29 +103,7 @@ class ComplexDefining:
                 and lin["wb"] == -ONE
             ):
                 raise ValueError("defining function must have linear part -wb")
-        d = ComplexDefining(theta=theta)
-        d.rigid = detect_rigid(theta)
-        return d
-
-
-@dataclass(frozen=True)
-class Biholo:
-    """An origin-fixing biholomorphism ``(z, w) -> (f, g)`` of C^2."""
-
-    f: TruncSeries
-    g: TruncSeries
-
-    def __post_init__(self):
-        for s in (self.f, self.g):
-            if s.vars != MAP_VARS:
-                raise ArityError(f"map components must use variables {MAP_VARS}")
-            if not s.constant_term().is_zero():
-                raise ValueError("map must fix the origin")
-        jz = [self.f.coeff((1, 0)), self.f.coeff((0, 1))]
-        jw = [self.g.coeff((1, 0)), self.g.coeff((0, 1))]
-        det = jz[0] * jw[1] - jz[1] * jw[0]
-        if det.is_zero():
-            raise ValueError("map has a singular linear part at the origin")
+        return ComplexDefining(theta, detect_rigid(theta))
 
 
 def theta_bar(theta: TruncSeries) -> TruncSeries:
@@ -137,7 +116,7 @@ def theta_bar(theta: TruncSeries) -> TruncSeries:
     return theta.conjugate({"z": "zb", "zb": "z", "wb": "w"}).reorder(("z", "zb", "w"))
 
 
-def verify_reality(d: ComplexDefining, order: Optional[int] = None):
+def verify_reality(d: ComplexDefining, order: int | None = None):
     """Check ``w == Theta(z, zb, Theta_bar(zb, z, w))`` to the given order.
 
     Returns ``None`` on success, else the lowest graded-lex nonzero term of
@@ -179,6 +158,7 @@ def to_complex_defining(graph: RealGraph, order: int) -> ComplexDefining:
     for ``w``; the resulting defining function is validated against the
     reality condition, which must hold because ``phi`` was real.
     """
+    from .solve import implicit_solve  # loaded by the commands that solve, not by ``check``
     space = ("z", "zb", "wb", "w")
     z = TruncSeries.variable("z", space, order)
     zb = TruncSeries.variable("zb", space, order)
@@ -200,57 +180,3 @@ def to_complex_defining(graph: RealGraph, order: int) -> ComplexDefining:
             f"conversion of a real graph violates the reality condition: {witness}"
         )
     return d
-
-
-def transform_defining(d: ComplexDefining, h: Biholo, order: int) -> ComplexDefining:
-    """Push the defining equation forward through an origin-fixing biholomorphism.
-
-    On the complexified graph the map acts as ``(f, g, f_bar, g_bar)``; the
-    image is re-graphed by solving first the conjugate pair for the source
-    conjugate coordinates, then the ``z``-component.  A singular solve means
-    the image is not graphed over ``(z', zb', wb')`` and is reported as
-    ``NotSolvableError``.
-    """
-    theta = d.theta.truncate(order)
-    if theta.order < order:
-        order = theta.order
-    fb = h.f.conjugate({"z": "zt", "w": "wt"})
-    gb = h.g.conjugate({"z": "zt", "w": "wt"})
-
-    # stage 1: (zt, wt) from (zb', wb') = (f_bar, g_bar)(zt, wt)
-    s1 = ("zbp", "wbp", "zt", "wt")
-    eq1 = fb.extend(s1) - TruncSeries.variable("zbp", s1, order)
-    eq2 = gb.extend(s1) - TruncSeries.variable("wbp", s1, order)
-    inv = implicit_solve([eq1, eq2], ["zt", "wt"], order)
-
-    # stage 2: compose Theta with the recovered conjugate coordinates
-    mid = ("z", "zbp", "wbp")
-    comp = theta.substitute(
-        {"zb": inv["zt"].extend(mid), "wb": inv["wt"].extend(mid)}
-    )
-
-    # stage 3: z from z' = f(z, Theta(z, zt, wt))
-    s3 = ("zp", "zbp", "wbp", "z")
-    comp4 = comp.extend(s3)
-    f_on_graph = h.f.substitute({"w": comp4})
-    eq3 = f_on_graph - TruncSeries.variable("zp", s3, order)
-    zsol = implicit_solve([eq3], ["z"], order)["z"]
-
-    # stage 4: Theta' = g on the graph, composed with the solved z
-    g_on_graph = h.g.substitute({"w": comp4})
-    theta_new = (
-        g_on_graph.substitute({"z": zsol})
-        .rename({"zp": "z", "zbp": "zb", "wbp": "wb"})
-        .reorder(THETA_VARS)
-    )
-
-    try:
-        image = ComplexDefining.from_theta(theta_new)
-    except ValueError as exc:
-        raise NotSolvableError(f"image is not graphed in normalized form: {exc}") from exc
-    witness = verify_reality(image)
-    if witness is not None:
-        raise InternalCheckError(
-            f"holomorphic image violates the reality condition: {witness}"
-        )
-    return image

@@ -1,9 +1,12 @@
-"""Pinned fixture corpus and seeded random generators.
+"""Pinned fixture corpus, the biholomorphic images it is built from, and
+seeded random generators.
 
 The corpus backs both the self-test command and the acceptance suite:
 the Heisenberg sphere, three spherical images of it under origin-fixing
-biholomorphisms, and two rigid non-spherical surfaces whose witnesses
-were established by the triple-pipeline oracle and frozen here.
+biholomorphisms (``Biholo``, pushed forward by ``transform_defining``),
+and two rigid non-spherical surfaces whose witnesses were established by
+the triple-pipeline oracle and frozen here.  No command but ``self-test``
+loads this module.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ import itertools
 import random
 from fractions import Fraction
 
-from .defining import MAP_VARS, THETA_VARS, Biholo, ComplexDefining
+from .defining import MAP_VARS, THETA_VARS, ComplexDefining, verify_reality
+from .errors import ArityError, InternalCheckError, NotSolvableError
 from .parsing import parse_series
-from .rational import GaussRat
+from .rational import GaussRat, frozen
 from .series import TruncSeries
+from .solve import implicit_solve
 
 HEISENBERG = "-wb + z*zb"
 
@@ -48,17 +53,82 @@ SECTION5_T_CORE = (
 )
 
 
+class Biholo:
+    """An origin-fixing biholomorphism ``(z, w) -> (f, g)`` of C^2."""
+
+    __slots__ = ("f", "g")
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, f: TruncSeries, g: TruncSeries):
+        for s in (f, g):
+            if s.vars != MAP_VARS:
+                raise ArityError(f"map components must use variables {MAP_VARS}")
+            if not s.constant_term().is_zero():
+                raise ValueError("map must fix the origin")
+        det = f.coeff((1, 0)) * g.coeff((0, 1)) - f.coeff((0, 1)) * g.coeff((1, 0))
+        if det.is_zero():
+            raise ValueError("map has a singular linear part at the origin")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+
+
+def transform_defining(d: ComplexDefining, h: Biholo, order: int) -> ComplexDefining:
+    """Push the defining equation forward through an origin-fixing biholomorphism.
+
+    On the complexified graph the map acts as ``(f, g, f_bar, g_bar)``; the
+    image is re-graphed by solving first the conjugate pair for the source
+    conjugate coordinates, then the ``z``-component.  A singular solve means
+    the image is not graphed over ``(z', zb', wb')`` and is reported as
+    ``NotSolvableError``.
+    """
+    theta = d.theta.truncate(order)
+    if theta.order < order:
+        order = theta.order
+    fb = h.f.conjugate({"z": "zt", "w": "wt"})
+    gb = h.g.conjugate({"z": "zt", "w": "wt"})
+
+    # stage 1: (zt, wt) from (zb', wb') = (f_bar, g_bar)(zt, wt)
+    s1 = ("zbp", "wbp", "zt", "wt")
+    eq1 = fb.extend(s1) - TruncSeries.variable("zbp", s1, order)
+    eq2 = gb.extend(s1) - TruncSeries.variable("wbp", s1, order)
+    inv = implicit_solve([eq1, eq2], ["zt", "wt"], order)
+
+    # stage 2: compose Theta with the recovered conjugate coordinates
+    mid = ("z", "zbp", "wbp")
+    comp = theta.substitute({"zb": inv["zt"].extend(mid), "wb": inv["wt"].extend(mid)})
+
+    # stage 3: z from z' = f(z, Theta(z, zt, wt))
+    s3 = ("zp", "zbp", "wbp", "z")
+    comp4 = comp.extend(s3)
+    f_on_graph = h.f.substitute({"w": comp4})
+    eq3 = f_on_graph - TruncSeries.variable("zp", s3, order)
+    zsol = implicit_solve([eq3], ["z"], order)["z"]
+
+    # stage 4: Theta' = g on the graph, composed with the solved z
+    g_on_graph = h.g.substitute({"w": comp4})
+    theta_new = (
+        g_on_graph.substitute({"z": zsol})
+        .rename({"zp": "z", "zbp": "zb", "wbp": "wb"})
+        .reorder(THETA_VARS)
+    )
+
+    try:
+        image = ComplexDefining.from_theta(theta_new)
+    except ValueError as exc:
+        raise NotSolvableError(f"image is not graphed in normalized form: {exc}") from exc
+    witness = verify_reality(image)
+    if witness is not None:
+        raise InternalCheckError(f"holomorphic image violates the reality condition: {witness}")
+    return image
+
+
 def heisenberg(order: int = 10) -> ComplexDefining:
     return ComplexDefining.from_theta(parse_series(HEISENBERG, THETA_VARS, order))
 
 
 def corpus_biholos(order: int = 10) -> list:
-    maps = []
-    for f_txt, g_txt in BIHOLO_EXPRS:
-        maps.append(
-            Biholo(parse_series(f_txt, MAP_VARS, order), parse_series(g_txt, MAP_VARS, order))
-        )
-    return maps
+    return [Biholo(parse_series(f_txt, MAP_VARS, order), parse_series(g_txt, MAP_VARS, order))
+            for f_txt, g_txt in BIHOLO_EXPRS]
 
 
 def random_gauss(rng: random.Random, with_imag: bool = True) -> GaussRat:

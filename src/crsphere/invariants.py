@@ -11,7 +11,8 @@ cross-checked:
   against the transferred fourth ``y_x``-derivative of the eliminated
   ODE's right-hand side (the Tresse invariant ``I1``);
 * for rigid defining functions, a seven-term formula in the jet of the
-  rigid part with integer coefficients ``+1, -6, -4, -1, +15, +10, -15``.
+  rigid part with integer coefficients ``+1, -6, -4, -1, +15, +10, -15``
+  (``selftest.rigid_invariant``).
 
 Vanishing of any of them (equivalently all of them) to the achieved
 order is the sphericality verdict at that order.  The verdict runs in
@@ -37,11 +38,10 @@ of the series give; no term below that order changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .defining import THETA_VARS, XI_VARS, ComplexDefining, levi_delta, verify_reality
-from .errors import CrsError, DegenerateError, InternalCheckError, RealityError
+from .errors import DegenerateError, InternalCheckError
 from .rational import ONE, GaussRat
 from .report import (
     Report,
@@ -55,12 +55,8 @@ from .series import TruncSeries
 from .transfer import SolutionManifold
 
 
-@dataclass(frozen=True)
-class InvariantPair:
-    """The two fundamental point invariants of a second-order ODE."""
-
-    i1: TruncSeries
-    i2: TruncSeries
+InvariantPair = namedtuple("InvariantPair", "i1 i2")
+InvariantPair.__doc__ = "The two fundamental point invariants of a second-order ODE."
 
 
 def tresse_invariants(f: TruncSeries) -> InvariantPair:
@@ -92,6 +88,11 @@ def tresse_invariants(f: TruncSeries) -> InvariantPair:
         + GaussRat.of(4) * (f_yx * f_yyx)
     )
     return InvariantPair(i1=i1, i2=i2)
+
+
+def ode_invariants(m: SolutionManifold, order: int) -> InvariantPair:
+    """``tresse_invariants(m.ode(order))``, computed once per order and kept on ``m``."""
+    return m.kept(f"tresse@{order}", lambda: tresse_invariants(m.ode(order)))
 
 
 def _det2(a: TruncSeries, b: TruncSeries, c: TruncSeries, d: TruncSeries) -> TruncSeries:
@@ -155,7 +156,7 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     )
 
 
-def _l0(qa: TruncSeries, qb: TruncSeries, t: TruncSeries, order: Optional[int] = None):
+def _l0(qa: TruncSeries, qb: TruncSeries, t: TruncSeries, order: int | None = None):
     """``qa T_b - qb T_a`` on the manifold space, known to ``order``: by
     default the known order of ``T_a``, the most the products keep.  Every
     operand is cut to ``order`` first."""
@@ -205,29 +206,21 @@ def _aj4_numerator(d: ComplexDefining) -> TruncSeries:
     return d.aj4_numerator
 
 
-def aj4(d: ComplexDefining) -> TruncSeries:
-    """The fourth-order obstruction ``N / delta^3``.
-
-    The numerator ``N`` is cross-checked and kept on ``d``; this division
-    is made only for a caller that asks for the series itself (``N``
-    vanishes with it, since ``delta`` is a unit).
-    """
-    return _aj4_numerator(d).div(d.manifold.delta().pow(3))
-
-
 def aj6(d: ComplexDefining) -> TruncSeries:
     """The denominator-cleared sixth-order obstruction ``delta^7 L^2[aj4]``.
 
     Two steps ``X/delta^s -> (delta L0[X] - s X l)/delta^(s+2)`` from
     ``N = delta^3 aj4``: ``M = delta L0[N] - 3 N l`` over ``delta^5``, then
-    ``aj6 = delta L0[M] - 5 M l``, with no division.
+    ``aj6 = delta L0[M] - 5 M l``, with no division.  Kept on ``d``.
     """
-    num = _aj4_numerator(d)
-    op = d.cleared_operator
-    return _step(op, _step(op, num, _THREE), _FIVE)
+    if d.aj6 is None:
+        num = _aj4_numerator(d)
+        op = d.cleared_operator
+        d.aj6 = _step(op, _step(op, num, _THREE), _FIVE)
+    return d.aj6
 
 
-def hermitian_witness(xi: TruncSeries) -> Optional[tuple]:
+def hermitian_witness(xi: TruncSeries) -> tuple | None:
     """``None`` when the rigid part is Hermitian symmetric, else the lowest
     term of ``Xi - conj(Xi)(zb, z)`` as a ``(monomial, coefficient)``
     witness over ``(z, zb)``."""
@@ -235,64 +228,11 @@ def hermitian_witness(xi: TruncSeries) -> Optional[tuple]:
     return defect.lowest_term()
 
 
-def rigid_invariant(xi: TruncSeries) -> TruncSeries:
-    """The rigid seven-term obstruction for ``w = -wb + Xi(z, zb)``.
-
-    Terms over powers 4..7 of the unit ``u = Xi_z,zb``::
-
-        + Xi_zzbbbb / u^4
-        - 6 Xi_zzbbb Xi_zbb / u^5  - 4 Xi_zzbb Xi_zbbb / u^5  - Xi_zzb Xi_zbbbb / u^5
-        + 15 Xi_zzbb Xi_zbb^2 / u^6  + 10 Xi_zbbb Xi_zzb Xi_zbb / u^6
-        - 15 Xi_zzb Xi_zbb^3 / u^7
-
-    where the suffix letters count ``z`` then ``zb`` derivatives.  The
-    numerators ``t4 .. t7`` over each power are summed in Horner form,
-    ``((t4 u + t5) u + t6) u + t7``, and divided once by ``u^7``.  Every
-    operand is cut to the known order of ``Xi_zzbbbb``, the order the sum
-    keeps (to 1 at least).
-    """
-    if xi.vars != XI_VARS:
-        raise CrsError(f"rigid part must use variables {XI_VARS}, got {xi.vars}")
-    if hermitian_witness(xi) is not None:
-        raise RealityError("rigid part is not Hermitian symmetric")
-
-    # z1[j] and z2[j]: one and two z-derivatives, then j zb-derivatives
-    z1 = [xi.derive("z")]
-    z2 = [z1[0].derive("z")]
-    for _ in range(4):
-        z1.append(z1[-1].derive("zb"))
-        z2.append(z2[-1].derive("zb"))
-    u = z1[1]
-    if u.constant_term().is_zero():
-        raise DegenerateError("Xi_z,zb vanishes at the origin")
-    order = max(z2[4].order, 1)  # u keeps its constant term: it is the divisor
-    z1 = [s.truncate(order) for s in z1]
-    z2 = [s.truncate(order) for s in z2]
-    u = z1[1]
-    square = z1[2] * z1[2]
-    numerators = (  # (weight, numerator) over u^4, u^5, u^6 and u^7
-        ((1, z2[4]),),
-        ((-6, z2[3] * z1[2]), (-4, z2[2] * z1[3]), (-1, z2[1] * z1[4])),
-        ((15, z2[2] * square), (10, z1[3] * z2[1] * z1[2])),
-        ((-15, z2[1] * (square * z1[2])),),
-    )
-    total = None
-    for group in numerators:
-        part = TruncSeries.sum([num.scale(GaussRat.of(c)) for c, num in group])
-        total = part if total is None else total * u + part
-    return total.div(u.pow(7))
-
-
-@dataclass(frozen=True)
-class KoppischReport:
-    """Vanishing pattern of the invariants of an ODE and of its dual,
-    all decided at one common achieved order."""
-
-    i1_vanishes: bool
-    i2_vanishes: bool
-    dual_i1_vanishes: bool
-    dual_i2_vanishes: bool
-    order: int
+KoppischReport = namedtuple(
+    "KoppischReport", "i1_vanishes i2_vanishes dual_i1_vanishes dual_i2_vanishes order"
+)
+KoppischReport.__doc__ = """Vanishing pattern of the invariants of an ODE and of its dual,
+all decided at one common achieved order."""
 
 
 def koppisch_check(m: SolutionManifold, order: int) -> KoppischReport:
@@ -304,8 +244,8 @@ def koppisch_check(m: SolutionManifold, order: int) -> KoppischReport:
     ``Q`` so that both sides reach the same depth; vanishing is then
     decided at the common achieved order.
     """
-    inv = tresse_invariants(m.ode(order))
-    dual_inv = tresse_invariants(m.dual(m.q.order).ode(order))
+    inv = ode_invariants(m, order)
+    dual_inv = ode_invariants(m.dual(m.q.order), order)
     k = min(inv.i1.order, inv.i2.order, dual_inv.i1.order, dual_inv.i2.order)
     rep = KoppischReport(
         i1_vanishes=inv.i1.truncate(k).is_zero(),
@@ -323,13 +263,13 @@ def _violated(witness: tuple, order: int) -> Report:
     return Report(VERDICT_REALITY_VIOLATED, order, *witness)
 
 
-def reality_stage(d: ComplexDefining, clock: StageClock) -> Optional[Report]:
+def reality_stage(d: ComplexDefining, clock: StageClock) -> Report | None:
     """The ``reality-violated`` report of ``d``, or ``None``."""
     witness = clock("reality", lambda: verify_reality(d))
     return None if witness is None else _violated(witness, d.theta.order)
 
 
-def levi_stage(d: ComplexDefining, clock: StageClock) -> Optional[Report]:
+def levi_stage(d: ComplexDefining, clock: StageClock) -> Report | None:
     """The ``levi-degenerate`` report of ``d``, or ``None``."""
     delta, nondegenerate = clock("levi", lambda: levi_delta(d))
     if nondegenerate:
@@ -337,22 +277,28 @@ def levi_stage(d: ComplexDefining, clock: StageClock) -> Optional[Report]:
     return Report(VERDICT_LEVI_DEGENERATE, d.theta.order, delta_at_origin=delta.constant_term())
 
 
-def verdict_tail(d: ComplexDefining, clock: StageClock) -> Report:
-    """The stages after reality: Levi form, ``aj4`` with its cross-check,
-    ``aj6``, and the report."""
-    degenerate = levi_stage(d, clock)
-    if degenerate is not None:
-        return degenerate
+def _aj6_report(d: ComplexDefining) -> Report:
+    """The spherical or non-spherical report of ``aj6``."""
+    obstruction = aj6(d)
     delta0 = d.manifold.delta().constant_term()
-    clock("aj4", lambda: _aj4_numerator(d))  # kept on ``d``; timed apart from aj6
-    obstruction = clock("aj6", lambda: aj6(d))
     if obstruction.is_zero():
         return Report(VERDICT_SPHERICAL, obstruction.order, delta_at_origin=delta0)
     return Report(VERDICT_NON_SPHERICAL, obstruction.order, *obstruction.lowest_term(), delta0)
 
 
+def verdict_tail(d: ComplexDefining, clock: StageClock, aj6_report=_aj6_report) -> Report:
+    """The stages after reality: Levi form, ``aj4`` with its cross-check,
+    then ``aj6`` with its report, ``aj6_report(d)``, so that the stages
+    time all of the work."""
+    degenerate = levi_stage(d, clock)
+    if degenerate is not None:
+        return degenerate
+    clock("aj4", lambda: _aj4_numerator(d))  # kept on ``d``; timed apart from aj6
+    return clock("aj6", lambda: aj6_report(d))
+
+
 def sphericality_verdict(
-    d: ComplexDefining, order: int, clock: Optional[StageClock] = None
+    d: ComplexDefining, order: int, clock: StageClock | None = None
 ) -> Report:
     """Run the verdict pipeline: reality, Levi form, sixth-order obstruction.
 
@@ -369,7 +315,7 @@ def sphericality_verdict(
     return reality_stage(work, clock) or verdict_tail(work, clock)
 
 
-def rigid_verdict(xi: TruncSeries, clock: Optional[StageClock] = None) -> Report:
+def rigid_verdict(xi: TruncSeries, clock: StageClock | None = None) -> Report:
     """The verdict for the rigid surface ``w = -wb + Xi(z, zb)``.
 
     The reality stage checks that ``Xi`` is Hermitian.  The tail runs on
@@ -385,7 +331,12 @@ def rigid_verdict(xi: TruncSeries, clock: Optional[StageClock] = None) -> Report
     if witness is not None:
         return _violated(witness, xi.order)
     d = clock("levi", lambda: ComplexDefining(_rigid_theta(xi), rigid=True))
-    report = verdict_tail(d, clock)
+    return verdict_tail(d, clock, _rigid_report)
+
+
+def _rigid_report(d: ComplexDefining) -> Report:
+    """``_aj6_report`` with its witness mapped back to ``(z, zb)``."""
+    report = _aj6_report(d)
     if report.verdict == VERDICT_NON_SPHERICAL:
         u7 = report.delta_at_origin.re ** 7  # real, since Xi is Hermitian
         c = report.witness_coefficient

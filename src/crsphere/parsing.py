@@ -25,8 +25,8 @@ series (the round-trip property).
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import ExprSyntaxError
 from .rational import GaussRat
@@ -37,6 +37,10 @@ MAX_DEPTH = 100  # parenthesis nesting; keeps the descent off the recursion limi
 # size of any numerator or denominator while evaluating, in the cleared form;
 # keeps input far below the 4,300-digit limit of rendering an int
 MAX_COEFF_BITS = 4096
+# the digits of the largest int of MAX_COEFF_BITS bits: a literal with more,
+# leading zeros aside, is over the bound and is not converted
+MAX_LITERAL_DIGITS = len(str((1 << MAX_COEFF_BITS) - 1))
+_TOO_BIG = f"a coefficient of the input exceeds {MAX_COEFF_BITS} bits"
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S)")
 
@@ -57,8 +61,16 @@ def _tokens(text: str) -> list:
 
 def _bounded(f: TruncSeries) -> TruncSeries:
     if f.bits() > MAX_COEFF_BITS:
-        raise ValueError(f"a coefficient of the input exceeds {MAX_COEFF_BITS} bits")
+        raise ValueError(_TOO_BIG)
     return f
+
+
+def _literal(value: str) -> int | None:
+    """The int of a decimal token, or ``None`` past ``MAX_LITERAL_DIGITS`` digits
+    after its leading zeros: counted before ``int()``, which refuses long text."""
+    if len(value) > MAX_LITERAL_DIGITS and len(value := value.lstrip("0")) > MAX_LITERAL_DIGITS:
+        return None
+    return int(value or "0")
 
 
 class _Descent:
@@ -122,7 +134,7 @@ class _Descent:
                 return self.times(value, key, re, im, den)
             self.i += 1
 
-    def times(self, value: Optional[TruncSeries], key: int, re: int, im: int, den: int):
+    def times(self, value: TruncSeries | None, key: int, re: int, im: int, den: int):
         """``value`` (``None`` for 1) times the monomial ``(re + im*i)/den`` at ``key``."""
         if value is not None and (key, re, im) == (0, den, 0):
             return value
@@ -139,9 +151,10 @@ class _Descent:
         self.i += 2
         if kind != "int":
             raise ExprSyntaxError("exponent must be an unsigned integer", pos)
-        exponent = int(value)
-        if exponent > MAX_EXPONENT:
-            raise ExprSyntaxError(f"exponent {exponent} exceeds {MAX_EXPONENT}", pos)
+        exponent = _literal(value)
+        if exponent is None or exponent > MAX_EXPONENT:
+            shown = f"of {len(value.lstrip('0'))} digits" if exponent is None else exponent
+            raise ExprSyntaxError(f"exponent {shown} exceeds {MAX_EXPONENT}", pos)
         if type(base) is tuple:
             if base[0]:  # a variable: zero once the power reaches the order
                 return (base[0] * exponent, 1, 0, 1, 0) if exponent < self.order else (0, 0, 0, 1, 0)
@@ -152,12 +165,15 @@ class _Descent:
         kind, value, pos = self.tokens[self.i]
         self.i += 1
         if kind == "int":
-            num = int(value)
-            den = 1
+            num, den = _literal(value), 1
+            if num is None:
+                raise ValueError(_TOO_BIG)
             if self.tokens[self.i][0] == "/":
                 kind, value, pos = self.tokens[self.i + 1]
                 self.i += 2
-                den = int(value) if kind == "int" else 0
+                den = _literal(value) if kind == "int" else 0
+                if den is None:
+                    raise ValueError(_TOO_BIG)
                 if not den:
                     raise ExprSyntaxError("denominator must be a positive integer", pos)
             if (bits := max(num, den).bit_length()) > MAX_COEFF_BITS:  # checked once reduced
@@ -203,8 +219,9 @@ def parse_series(text: str, vars: Sequence[str], order: int) -> TruncSeries:
     """Parse expression text into an exact series truncated at ``order``.
 
     Every numerator and the denominator of the result, and of each
-    intermediate value, has at most ``MAX_COEFF_BITS`` bits; larger input
-    raises ``ValueError``.  Malformed text raises ``ExprSyntaxError`` with
+    intermediate value, has at most ``MAX_COEFF_BITS`` bits; larger input,
+    and a literal of more than ``MAX_LITERAL_DIGITS`` digits, raises
+    ``ValueError``.  Malformed text raises ``ExprSyntaxError`` with
     the offset of the first error in the text.
     """
     descent = _Descent(text, tuple(vars), order)
@@ -233,7 +250,7 @@ def _render_mono(mono, vars) -> str:
     return "*".join(parts)
 
 
-def _render_coeff(c: GaussRat) -> Optional[str]:
+def _render_coeff(c: GaussRat) -> str | None:
     """Coefficient text without sign handling, or None for a plain 1."""
     if c.im == 0:
         if c.re == 1:

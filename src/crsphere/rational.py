@@ -8,7 +8,6 @@ denominator, which gives a canonical representation for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -22,22 +21,41 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+def frozen(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of a value set once, in ``__init__``."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class GaussRat:
-    """An exact Gaussian rational ``re + im*i``."""
+    """An exact Gaussian rational ``re + im*i``: immutable, equal and hashed
+    by value."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+    __setattr__ = __delattr__ = frozen
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __init__(self, re=Fraction(0), im=Fraction(0)):
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im", _frac(im))
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussRat:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussRat(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):
+        return GaussRat, (self.re, self.im)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def of(re, im=0) -> GaussRat:
-        return GaussRat(_frac(re), _frac(im))
+        return GaussRat(re, im)
 
     @staticmethod
     def i() -> GaussRat:

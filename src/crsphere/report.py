@@ -10,9 +10,7 @@ verdict append extra payload keys after the fixed six.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Callable, Optional
 
 from .rational import GaussRat
 
@@ -28,22 +26,26 @@ VERDICT_OK = "ok"
 _WITNESS_REQUIRED = (VERDICT_NON_SPHERICAL, VERDICT_REALITY_VIOLATED)
 
 
-@dataclass
 class Report:
-    verdict: str
-    tested_order: int
-    witness_monomial: Optional[tuple] = None
-    witness_coefficient: Optional[GaussRat] = None
-    delta_at_origin: Optional[GaussRat] = None
-    timings: dict = field(default_factory=dict)
-    payload: dict = field(default_factory=dict)
+    """One command's outcome: the six fixed keys, then ``payload``'s."""
 
-    def __post_init__(self):
-        if self.verdict in _WITNESS_REQUIRED:
-            if self.witness_monomial is None or self.witness_coefficient is None:
-                raise ValueError(f"verdict {self.verdict!r} requires a witness")
-            if self.witness_coefficient.is_zero():
+    __slots__ = ("verdict", "tested_order", "witness_monomial", "witness_coefficient",
+                 "delta_at_origin", "timings", "payload")
+
+    def __init__(self, verdict: str, tested_order: int, witness_monomial: tuple | None = None,
+                 witness_coefficient: GaussRat | None = None,
+                 delta_at_origin: GaussRat | None = None, timings: dict | None = None,
+                 payload: dict | None = None):
+        if verdict in _WITNESS_REQUIRED:
+            if witness_monomial is None or witness_coefficient is None:
+                raise ValueError(f"verdict {verdict!r} requires a witness")
+            if witness_coefficient.is_zero():
                 raise ValueError("witness coefficient must be nonzero")
+        self.verdict, self.tested_order = verdict, tested_order
+        self.witness_monomial, self.witness_coefficient = witness_monomial, witness_coefficient
+        self.delta_at_origin = delta_at_origin
+        self.timings = {} if timings is None else timings
+        self.payload = {} if payload is None else payload
 
 
 class StageClock:
@@ -57,7 +59,7 @@ class StageClock:
         self.enabled = enabled
         self.timings: dict = {}
 
-    def __call__(self, stage: str, fn: Callable):
+    def __call__(self, stage: str, fn):
         start = perf_counter_ns()
         result = fn()
         if self.enabled:

@@ -6,43 +6,31 @@ jet-transfer formulas: the first-order transfer, the transferred ``d/dx``,
 verdict's ``invariants._l0``), the checked second-jet lemma, and the
 expanded third-order transfer as a static term table (``THIRD_JET_TABLE``)
 whose one normative check is exact agreement with the repeated first-order
-operator.  ``run_self_test`` runs the fixture corpus with every
-cross-pipeline assertion: a disagreement raises ``InternalCheckError`` (an
-implementation bug, exit code 2 in the CLI), never a math verdict.
+operator.  The rigid seven-term formula ``rigid_invariant`` is the route
+the corpus compares with the verdict's.  ``run_self_test`` runs the
+fixture corpus with every cross-pipeline assertion: a disagreement raises
+``InternalCheckError`` (an implementation bug, exit code 2 in the CLI),
+never a math verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fixtures
-from .defining import (
-    THETA_VARS,
-    XI_VARS,
-    ComplexDefining,
-    levi_delta,
-    transform_defining,
-    verify_reality,
+from .defining import THETA_VARS, XI_VARS, ComplexDefining, levi_delta, verify_reality
+from .errors import (
+    ArityError, CrsError, DegenerateError, InternalCheckError, NonUnitError, RealityError
 )
-from .errors import ArityError, InternalCheckError, NonUnitError
-from .invariants import aj6, koppisch_check, rigid_invariant, tresse_invariants
+from .invariants import aj6, hermitian_witness, koppisch_check, ode_invariants
 from .parsing import parse_series
 from .rational import GaussRat
 from .series import TruncSeries
 from .transfer import SolutionManifold
 
 
-@dataclass(frozen=True)
-class TransferOps:
-    """The six first-order transfer coefficients of the parameter map."""
-
-    delta: TruncSeries
-    a_x: TruncSeries
-    b_x: TruncSeries
-    a_y: TruncSeries
-    b_y: TruncSeries
-    a_yx: TruncSeries
-    b_yx: TruncSeries
+TransferOps = namedtuple("TransferOps", "delta a_x b_x a_y b_y a_yx b_yx")
+TransferOps.__doc__ = "The six first-order transfer coefficients of the parameter map."
 
 
 def _unit_delta(m: SolutionManifold) -> TruncSeries:
@@ -365,6 +353,54 @@ def third_jet_check(m: SolutionManifold, t: TruncSeries):
     return (third_jet_expanded(m, t) - operator_path).lowest_term()
 
 
+def rigid_invariant(xi: TruncSeries) -> TruncSeries:
+    """The rigid seven-term obstruction for ``w = -wb + Xi(z, zb)``.
+
+    Terms over powers 4..7 of the unit ``u = Xi_z,zb``::
+
+        + Xi_zzbbbb / u^4
+        - 6 Xi_zzbbb Xi_zbb / u^5  - 4 Xi_zzbb Xi_zbbb / u^5  - Xi_zzb Xi_zbbbb / u^5
+        + 15 Xi_zzbb Xi_zbb^2 / u^6  + 10 Xi_zbbb Xi_zzb Xi_zbb / u^6
+        - 15 Xi_zzb Xi_zbb^3 / u^7
+
+    where the suffix letters count ``z`` then ``zb`` derivatives.  The
+    numerators ``t4 .. t7`` over each power are summed in Horner form,
+    ``((t4 u + t5) u + t6) u + t7``, and divided once by ``u^7``.  Every
+    operand is cut to the known order of ``Xi_zzbbbb``, the order the sum
+    keeps (to 1 at least).
+    """
+    if xi.vars != XI_VARS:
+        raise CrsError(f"rigid part must use variables {XI_VARS}, got {xi.vars}")
+    if hermitian_witness(xi) is not None:
+        raise RealityError("rigid part is not Hermitian symmetric")
+
+    # z1[j] and z2[j]: one and two z-derivatives, then j zb-derivatives
+    z1 = [xi.derive("z")]
+    z2 = [z1[0].derive("z")]
+    for _ in range(4):
+        z1.append(z1[-1].derive("zb"))
+        z2.append(z2[-1].derive("zb"))
+    u = z1[1]
+    if u.constant_term().is_zero():
+        raise DegenerateError("Xi_z,zb vanishes at the origin")
+    order = max(z2[4].order, 1)  # u keeps its constant term: it is the divisor
+    z1 = [s.truncate(order) for s in z1]
+    z2 = [s.truncate(order) for s in z2]
+    u = z1[1]
+    square = z1[2] * z1[2]
+    numerators = (  # (weight, numerator) over u^4, u^5, u^6 and u^7
+        ((1, z2[4]),),
+        ((-6, z2[3] * z1[2]), (-4, z2[2] * z1[3]), (-1, z2[1] * z1[4])),
+        ((15, z2[2] * square), (10, z1[3] * z2[1] * z1[2])),
+        ((-15, z2[1] * (square * z1[2])),),
+    )
+    total = None
+    for group in numerators:
+        part = TruncSeries.sum([num.scale(GaussRat.of(c)) for c, num in group])
+        total = part if total is None else total * u + part
+    return total.div(u.pow(7))
+
+
 def _fail(name: str, detail) -> None:
     raise InternalCheckError(f"self-test {name!r} failed: {detail}")
 
@@ -374,7 +410,7 @@ def transferred_i1(m: SolutionManifold, order: int) -> TruncSeries:
     to the space of ``Theta = m.q`` via ``(x, y, yx) -> (z, Theta, Theta_z)``."""
     theta = m.q
     z = TruncSeries.variable("z", theta.vars, theta.order)
-    i1 = tresse_invariants(m.ode(order)).i1
+    i1 = ode_invariants(m, order).i1
     return i1.substitute({"x": z, "y": theta, "yx": theta.derive("z")})
 
 
@@ -394,7 +430,7 @@ def _spherical_fixtures(order: int = 10) -> list:
     base = fixtures.heisenberg(order)
     out = [("heisenberg", base)]
     for i, h in enumerate(fixtures.corpus_biholos(order), start=1):
-        out.append((f"transformed-{i}", transform_defining(base, h, order)))
+        out.append((f"transformed-{i}", fixtures.transform_defining(base, h, order)))
     return out
 
 
@@ -423,10 +459,7 @@ def section5_check(seed: int) -> None:
 def run_self_test() -> list:
     """Run every corpus check; returns the ordered list of names that passed."""
     passed = []
-
-    def ok(name):
-        passed.append(name)
-
+    ok = passed.append
     spherical = _spherical_fixtures(10)
     for name, d in spherical:
         if verify_reality(d) is not None:

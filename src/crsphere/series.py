@@ -45,11 +45,11 @@ would change the spans it counts.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import groupby, islice
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
 
 from .errors import ArityError, CompositionError, NonUnitError
 from .rational import GaussRat, ONE, ZERO
@@ -287,7 +287,7 @@ class TruncSeries:
     def constant_term(self) -> GaussRat:
         return self.coeff((0,) * self.arity)
 
-    def lowest_term(self) -> Optional[tuple]:
+    def lowest_term(self) -> tuple | None:
         """The (monomial, coefficient) pair minimal in graded-lex order."""
         if not self._num:
             return None
@@ -540,7 +540,7 @@ class TruncSeries:
 
     # -- variable-space plumbing ----------------------------------------------
 
-    def conjugate(self, relabel: Optional[Mapping[str, str]] = None) -> TruncSeries:
+    def conjugate(self, relabel: Mapping[str, str] | None = None) -> TruncSeries:
         """Conjugate every coefficient, optionally renaming variables.
 
         The relabeling must be a bijection; exponents stay in their slots,

@@ -12,7 +12,7 @@ with deterministic cost, not a fixed-point loop.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InternalCheckError, NotSolvableError
 from .series import TruncSeries

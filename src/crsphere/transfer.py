@@ -17,29 +17,25 @@ audited in ``selftest``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
-
 from .errors import InternalCheckError, NotSolvableError
 from .series import TruncSeries
-from .solve import implicit_solve
 
 XAB = ("x", "a", "b")
 
 
-@dataclass
 class SolutionManifold:
     """A graph ``y = Q(x, a, b)``; the three variable slots play the roles
     of ``x`` (independent), ``a`` and ``b`` (parameters) positionally."""
 
-    q: TruncSeries
-    _cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("q", "_cache")
 
-    def __post_init__(self):
-        if self.q.arity != 3:
+    def __init__(self, q: TruncSeries):
+        if q.arity != 3:
             raise NotSolvableError("a solution manifold needs exactly three variables")
-        if not self.q.constant_term().is_zero():
+        if not q.constant_term().is_zero():
             raise NotSolvableError("the graphing function must vanish at the origin")
+        self.q = q
+        self._cache = {}
 
     # derivative shorthand: key is a word over {x, a, b}, e.g. "xab"
     def d(self, key: str) -> TruncSeries:
@@ -51,7 +47,8 @@ class SolutionManifold:
             self._cache[key] = s
         return self._cache[key]
 
-    def _kept(self, key: str, make):
+    def kept(self, key: str, make):
+        """``make()``, called once per ``key`` and kept on the manifold."""
         if key not in self._cache:
             self._cache[key] = make()
         return self._cache[key]
@@ -59,7 +56,7 @@ class SolutionManifold:
     def det(self, u: str, v: str) -> TruncSeries:
         """The bordered determinant ``Q_u Q_xv - Q_v Q_xu``, evaluated once."""
         d = self.d
-        return self._kept(u + "|" + v, lambda: d(u) * d("x" + v) - d(v) * d("x" + u))
+        return self.kept(u + "|" + v, lambda: d(u) * d("x" + v) - d(v) * d("x" + u))
 
     def delta(self) -> TruncSeries:
         return self.det("a", "b")
@@ -72,14 +69,14 @@ class SolutionManifold:
     def ode(self, order: int) -> TruncSeries:
         """``associated_ode(self, order)``, eliminated once per effective order."""
         key = f"ode@{min(order, self.q.order - 1)}"
-        return self._kept(key, lambda: associated_ode(self, order))
+        return self.kept(key, lambda: associated_ode(self, order))
 
     def dual(self, order: int) -> "SolutionManifold":
         """``dual_manifold(self, order)``, built once per effective order."""
-        return self._kept(f"dual@{min(order, self.q.order)}", lambda: dual_manifold(self, order))
+        return self.kept(f"dual@{min(order, self.q.order)}", lambda: dual_manifold(self, order))
 
 
-def solve_parameters(m: SolutionManifold, order: int) -> Tuple[TruncSeries, TruncSeries]:
+def solve_parameters(m: SolutionManifold, order: int) -> tuple[TruncSeries, TruncSeries]:
     """Invert ``(y, y_x) = (Q, Q_x)`` for the parameters: ``a = A(x, y, yx)``,
     ``b = B(x, y, yx)``.
 
@@ -87,6 +84,7 @@ def solve_parameters(m: SolutionManifold, order: int) -> Tuple[TruncSeries, Trun
     known (``Q_x`` costs one derivative).  Both defining residuals are
     re-checked by composing back with ``(Q, Q_x)``.
     """
+    from .solve import implicit_solve  # loaded by the commands that solve, not by ``check``
     if not m.solvable:
         raise NotSolvableError("manifold is not solvable with respect to the parameters")
     q = m.q.rename(dict(zip(m.q.vars, XAB)))
@@ -121,6 +119,7 @@ def associated_ode(m: SolutionManifold, order: int) -> TruncSeries:
 def dual_manifold(m: SolutionManifold, order: int) -> SolutionManifold:
     """Swap variables and parameters: solve ``b = Q*(a, x, y)`` from
     ``y = Q(x, a, b)`` and regrade ``(a; x, y)`` as the new ``(x; a, b)``."""
+    from .solve import implicit_solve
     q = m.q.rename(dict(zip(m.q.vars, XAB)))
     if q.coeff((0, 0, 1)).is_zero():
         raise NotSolvableError("Q_b vanishes at the origin; cannot solve for b")

@@ -6,8 +6,11 @@
 twice to ``Theta_zz``, and ``delta^7 L^2[aj4]``.  ``reference_rigid_invariant``
 sums the seven rigid terms, each divided by its own power of ``u``.  They
 keep no obstruction on the defining function, so each call recomputes.
+``aj4`` divides the numerator the verdict keeps, for the tests that want
+the series itself.
 """
 
+import crsphere.invariants as inv
 from crsphere.defining import XI_VARS, levi_delta
 from crsphere.errors import CrsError, DegenerateError, InternalCheckError, RealityError
 from crsphere.rational import GaussRat
@@ -15,6 +18,12 @@ from crsphere.selftest import apply_dyx
 from crsphere.series import TruncSeries
 
 RIGID_COEFFS = (1, -6, -4, -1, 15, 10, -15)
+
+
+def aj4(d):
+    """The fourth-order obstruction ``N / delta^3``: the numerator ``N`` is
+    the verdict's, cross-checked and kept on ``d``."""
+    return inv._aj4_numerator(d).div(d.manifold.delta().pow(3))
 
 
 def _det2(a, b, c, d):

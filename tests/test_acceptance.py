@@ -16,7 +16,6 @@ from crsphere.defining import (
     THETA_VARS,
     levi_delta,
     to_complex_defining,
-    transform_defining,
     verify_reality,
 )
 from crsphere.fixtures import (
@@ -28,16 +27,20 @@ from crsphere.fixtures import (
     heisenberg,
     random_gauss,
     random_series,
+    transform_defining,
 )
-from crsphere.invariants import aj4, aj6, koppisch_check, rigid_invariant, sphericality_verdict
+from crsphere.invariants import aj6, koppisch_check, sphericality_verdict
 from crsphere.parsing import parse_series
 from crsphere.rational import GaussRat
-from crsphere.selftest import apply_dyx, pipeline_equivalence, section5_check, transferred_i1
+from crsphere.selftest import (
+    apply_dyx, pipeline_equivalence, rigid_invariant, section5_check, transferred_i1
+)
 from crsphere.series import TruncSeries
 from crsphere.solve import implicit_solve
 from crsphere.transfer import SolutionManifold, dual_manifold
 
 from random_inputs import random_hermitian_xi, random_real_graph, random_solvable_q
+from reference_invariants import aj4
 
 
 def test_criterion_1_heisenberg_sphere():

@@ -9,18 +9,19 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crsphere
 import crsphere.cli as cli
 import crsphere.invariants as inv
 import crsphere.selftest as audit
 import crsphere.transfer as tr
 from crsphere.cli import main
 from crsphere.defining import XI_VARS
-from crsphere.invariants import rigid_invariant
 from crsphere.parsing import render_series
 from crsphere.rational import GaussRat
 from crsphere.report import (
@@ -31,6 +32,7 @@ from crsphere.report import (
     Report,
     render_report,
 )
+from crsphere.selftest import rigid_invariant
 from crsphere.series import TruncSeries
 
 from conftest import check_theta, gauss_rats
@@ -127,6 +129,17 @@ def test_oversized_coefficient_is_one_error_report():
     out = json.loads(proc.stdout)  # exactly one document
     assert out["verdict"] == "error"
     assert "bits" in out["message"]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("theta", ["-wb + z*zb + 7...7*z^2*zb^2", "-wb + z^7...7*zb"])
+def test_literal_past_the_int_text_limit_is_one_error_report(theta):
+    # 4,401 digits: more than ``int()`` converts from text
+    proc = run_cli(["check", "--theta", theta.replace("7...7", "7" * 4401)], timeout=10)
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)  # exactly one document
+    assert out["verdict"] == "error"
+    assert "exceeds" in out["message"] and len(out["message"]) < 100
     assert "Traceback" not in proc.stderr
 
 
@@ -447,6 +460,54 @@ def test_only_self_test_loads_the_audit(command):
     assert "crsphere.selftest" not in out["modules"]
     assert "crsphere.fixtures" not in out["modules"]
     assert not AUDIT_NAMES & set(out["names"])
+
+
+# modules a command's process need not load: ``dataclasses`` and ``typing``
+# (each brings ``inspect``), ``tempfile`` (only ``--output`` needs it), the
+# solver (only the commands that solve) and the audit (only ``self-test``)
+UNLOADED = {"dataclasses", "inspect", "typing", "tempfile", "crsphere.solve",
+            "crsphere.selftest", "crsphere.fixtures"}
+IMPORT_BUDGETS = {
+    "check": (["--theta", "-wb + z*zb"], UNLOADED),
+    "rigid-check": (["--xi", "z*zb + z^2*zb^2"], UNLOADED),
+    "self-test": ([], {"dataclasses", "inspect"}),
+}
+# runs one job as the ``crsphere`` entry point does, then lists the modules
+BUDGET_PROBE = """
+import sys
+from crsphere.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(" ".join(sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_BUDGETS))
+def test_a_command_process_loads_only_what_it_runs(command):
+    args, unloaded = IMPORT_BUDGETS[command]
+    # ``-S`` keeps out what ``site`` and its ``.pth`` files import, so the
+    # source tree is named on the path
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", BUDGET_PROBE, command, *args, "--order", "7"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] in ("spherical-to-order", "non-spherical", "ok")
+    assert not unloaded & set(proc.stderr.split())
+
+
+def test_package_names_load_lazily():
+    probe = "import json, sys, crsphere; print(json.dumps([m for m in sys.modules if 'crsphere' in m]))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout) == ["crsphere"]
+    # every exported name resolves to its module's object, and is listed
+    for name in crsphere.__all__:
+        assert getattr(crsphere, name) is not None
+    assert set(crsphere.__all__) <= set(dir(crsphere))
+    assert crsphere.TruncSeries is TruncSeries and crsphere.rigid_invariant is rigid_invariant
+    with pytest.raises(AttributeError):
+        crsphere.aj4  # noqa: B018 - the division by delta^3 is a test reference
 
 
 def test_self_test_passes(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 import crsphere.defining as dm
 from crsphere.defining import (
-    Biholo,
     ComplexDefining,
     RealGraph,
     THETA_VARS,
@@ -14,10 +13,10 @@ from crsphere.defining import (
     levi_delta,
     theta_bar,
     to_complex_defining,
-    transform_defining,
     verify_reality,
 )
 from crsphere.errors import NotSolvableError
+from crsphere.fixtures import Biholo, transform_defining
 from crsphere.parsing import parse_series, render_series
 from crsphere.rational import GaussRat
 from crsphere.selftest import run_self_test

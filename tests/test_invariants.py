@@ -10,33 +10,21 @@ from hypothesis import strategies as st
 
 import crsphere.invariants as inv
 import crsphere.transfer as transfer
-from crsphere.defining import (
-    Biholo,
-    ComplexDefining,
-    RealGraph,
-    THETA_VARS,
-    to_complex_defining,
-    transform_defining,
-)
+from crsphere.defining import ComplexDefining, RealGraph, THETA_VARS, to_complex_defining
 from crsphere.errors import DegenerateError, InternalCheckError, RealityError
-from crsphere.fixtures import XI_NONSPHERICAL, corpus_biholos, heisenberg
-from crsphere.invariants import (
-    aj4,
-    aj6,
-    koppisch_check,
-    rigid_invariant,
-    sphericality_verdict,
-    tresse_invariants,
+from crsphere.fixtures import (
+    XI_NONSPHERICAL, Biholo, corpus_biholos, heisenberg, transform_defining
 )
+from crsphere.invariants import aj6, koppisch_check, sphericality_verdict, tresse_invariants
 from crsphere.parsing import parse_series
 from crsphere.rational import GaussRat
-from crsphere.selftest import apply_dyx, pipeline_equivalence, transferred_i1
+from crsphere.selftest import apply_dyx, pipeline_equivalence, rigid_invariant, transferred_i1
 from crsphere.series import TruncSeries
 from crsphere.transfer import SolutionManifold, dual_manifold
 
 from conftest import check_theta, gauss_rats
 from random_inputs import random_hermitian_xi
-from reference_invariants import reference_aj4, reference_aj6, reference_rigid_invariant
+from reference_invariants import aj4, reference_aj4, reference_aj6, reference_rigid_invariant
 
 ODE_VARS = ("x", "y", "yx")
 
@@ -216,8 +204,8 @@ VERDICT_GAUSSRATS = 4
 def test_verdict_gaussrat_count(monkeypatch):
     d = ComplexDefining.from_theta(_image(12).theta)
     built = []
-    post_init = GaussRat.__post_init__
-    monkeypatch.setattr(GaussRat, "__post_init__", lambda q: built.append(1) or post_init(q))
+    init = GaussRat.__init__
+    monkeypatch.setattr(GaussRat, "__init__", lambda q, *a: built.append(1) or init(q, *a))
     report = sphericality_verdict(d, 12)
     assert report.verdict == "spherical-to-order"
     assert len(built) <= VERDICT_GAUSSRATS
@@ -506,10 +494,8 @@ def test_verdict_heisenberg():
 
 def test_verdict_builds_one_solution_manifold(monkeypatch):
     built = []
-    post_init = SolutionManifold.__post_init__
-    monkeypatch.setattr(
-        SolutionManifold, "__post_init__", lambda m: built.append(m) or post_init(m)
-    )
+    init = SolutionManifold.__init__
+    monkeypatch.setattr(SolutionManifold, "__init__", lambda m, q: built.append(m) or init(m, q))
     report = sphericality_verdict(defining("-wb + z*zb + z^2*zb^2"), 10)
     assert report.verdict == "non-spherical"
     assert len(built) == 1

@@ -16,6 +16,7 @@ from crsphere.parsing import (
     MAX_COEFF_BITS,
     MAX_DEPTH,
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     parse_series,
     render_series,
 )
@@ -188,6 +189,33 @@ def test_coefficient_bits_are_bounded():
     for text in (f"2^{MAX_COEFF_BITS}*z", f"(1/2)^{MAX_COEFF_BITS}*z", "(123456789^400)^9999"):
         with pytest.raises(ValueError, match="bits"):
             parse_series(text, VARS, 10)
+
+
+# past 4,300 digits ``int()`` refuses decimal text, with its own message
+_LONG = "7" * 4401
+
+
+def test_long_literals_are_bounded_before_conversion():
+    # a coefficient: the bit-limit error, at that literal before a later error
+    for text in (f"-wb + z*zb + {_LONG}*z^3", f"{_LONG}*z + (zb"):
+        with pytest.raises(ValueError, match=f"^a coefficient of the input exceeds {MAX_COEFF_BITS} bits$"):
+            parse_series(text, VARS, 10)
+    # an exponent: the exponent error at its offset, with no echo of its digits
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_series(f"z*zb^{_LONG}", VARS, 10)
+    assert str(err.value) == f"exponent of 4401 digits exceeds {MAX_EXPONENT} (at position 5)"
+    # leading zeros are no part of the size: this is the value 7
+    assert parse_series("0" * 4400 + "7*z^3", VARS, 10) == parse_series("7*z^3", VARS, 10)
+    assert parse_series("z^" + "0" * 4400 + "2", VARS, 10) == parse_series("z^2", VARS, 10)
+
+
+def test_literal_digits_bound_the_coefficient_bits():
+    # the largest 4096-bit int has MAX_LITERAL_DIGITS digits; one more digit is over
+    assert MAX_LITERAL_DIGITS == len(str(2 ** MAX_COEFF_BITS - 1))
+    assert parse_series(f"{2 ** MAX_COEFF_BITS - 1}*z", VARS, 10).bits() == MAX_COEFF_BITS
+    for literal in ("1" + "0" * MAX_LITERAL_DIGITS, f"1/{10 ** MAX_LITERAL_DIGITS}"):
+        with pytest.raises(ValueError, match="bits"):
+            parse_series(f"{literal}*z", VARS, 10)
 
 
 def test_powers_are_evaluated_at_the_working_order():

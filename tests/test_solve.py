@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+import crsphere.solve
 import crsphere.transfer as tr
-from crsphere.defining import transform_defining
 from crsphere.errors import NotSolvableError
-from crsphere.fixtures import corpus_biholos, heisenberg, random_gauss
+from crsphere.fixtures import corpus_biholos, heisenberg, random_gauss, transform_defining
 from crsphere.parsing import parse_series
 from crsphere.rational import ZERO
 from crsphere.series import TruncSeries
@@ -134,6 +134,6 @@ def test_solve_parameters_matches_full_residual_reference(image, monkeypatch):
     if image:
         d = transform_defining(d, corpus_biholos(10)[0], 10)
     got = tr.solve_parameters(d.manifold, 10)
-    monkeypatch.setattr(tr, "implicit_solve", _full_residual_solve)
+    monkeypatch.setattr(crsphere.solve, "implicit_solve", _full_residual_solve)
     want = tr.solve_parameters(d.manifold, 10)
     assert got == want
