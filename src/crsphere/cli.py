@@ -245,6 +245,22 @@ def _emit(text: str, output: str | None) -> None:
         raise
 
 
+class _Formatter(argparse.HelpFormatter):
+    # argparse's width with no ``shutil`` (nor its ``fnmatch``, ``zlib``, ``bz2``
+    # and ``lzma``): ``COLUMNS`` if a positive int, else the terminal's, else 80
+    def __init__(self, prog):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                columns = 0
+        super().__init__(prog, width=(columns or 80) - 2)
+
+
 class _Parser(argparse.ArgumentParser):
     # a usage problem is an input error: main turns it into one error
     # report with exit code 1
@@ -263,7 +279,7 @@ _INPUT_HELP = {
 def _build_parser() -> argparse.ArgumentParser:
     # built on first use and reused: parse_args keeps no state between
     # calls (defaults are None or False, each call gets a fresh namespace)
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
     shared.add_argument("--input", help="job file of 'key = value' lines")
     shared.add_argument("--vars", help="comma-separated variable names")
     shared.add_argument("--order", type=int, help=f"truncation order (default {DEFAULT_ORDER})")
@@ -278,10 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="crsphere",
         description="Exact sphericality checks for hypersurfaces w = Theta(z, zb, wb) in C^2",
+        formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, parents=[shared])
+        p = sub.add_parser(name, help=command.help, parents=[shared], formatter_class=_Formatter)
         if command.option is not None:
             p.add_argument(command.option, help=_INPUT_HELP[command.option])
     return parser

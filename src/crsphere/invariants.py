@@ -31,9 +31,9 @@ and each step maps a numerator over ``delta^s`` to one over
 ``delta^(s+2)`` with products only.  From ``L[Theta_zz] = P/delta``,
 ``P = L0[Theta_zz]``, the steps ``s = 1, 3, 5`` give the numerator ``N`` of
 ``aj4`` over ``delta^3`` (the operator side of the ``aj4`` cross-check),
-then ``M`` over ``delta^5``, then ``aj6`` over ``delta^7``.  Every operand
-is cut to the known order its product keeps, which the known-order rules
-of the series give; no term below that order changes.
+then ``M`` over ``delta^5``, then ``aj6`` over ``delta^7``.  Each sum of
+products is one accumulation (``TruncSeries.dot``), every operand cut to
+the known order the sum keeps; no term below that order changes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from collections import namedtuple
 
 from .defining import THETA_VARS, XI_VARS, ComplexDefining, levi_delta, verify_reality
 from .errors import DegenerateError, InternalCheckError
-from .rational import ONE, GaussRat
+from .rational import GaussRat
 from .report import (
     Report,
     StageClock,
@@ -71,7 +71,8 @@ def tresse_invariants(f: TruncSeries) -> InvariantPair:
     yx = TruncSeries.variable("yx", f.vars, f.order)
 
     def total(t: TruncSeries) -> TruncSeries:
-        return t.derive("x") + yx.truncate(t.order) * t.derive("y") + f * t.derive("yx")
+        parts = [(yx.truncate(t.order), t.derive("y"), 1), (f, t.derive("yx"), 1)]
+        return t.derive("x") + TruncSeries.dot(parts)
 
     f_y = f.derive("y")
     f_yx = f.derive("yx")
@@ -79,24 +80,19 @@ def tresse_invariants(f: TruncSeries) -> InvariantPair:
     f_yyx = f_y.derive("yx")
     f_yxyx = f_yx.derive("yx")
     i1 = f_yxyx.derive("yx").derive("yx")
-    i2 = (
-        total(total(f_yxyx))
-        - f_yx * total(f_yxyx)
-        - GaussRat.of(4) * total(f_yyx)
-        + GaussRat.of(6) * f_yy
-        - GaussRat.of(3) * (f_y * f_yxyx)
-        + GaussRat.of(4) * (f_yx * f_yyx)
-    )
+    d_yxyx = total(f_yxyx)
+    i2 = TruncSeries.sum([
+        total(d_yxyx),
+        total(f_yyx).scale(GaussRat.of(-4)),
+        f_yy.scale(GaussRat.of(6)),
+        TruncSeries.dot([(f_yx, d_yxyx, -1), (f_y, f_yxyx, -3), (f_yx, f_yyx, 4)]),
+    ])
     return InvariantPair(i1=i1, i2=i2)
 
 
 def ode_invariants(m: SolutionManifold, order: int) -> InvariantPair:
     """``tresse_invariants(m.ode(order))``, computed once per order and kept on ``m``."""
     return m.kept(f"tresse@{order}", lambda: tresse_invariants(m.ode(order)))
-
-
-def _det2(a: TruncSeries, b: TruncSeries, c: TruncSeries, d: TruncSeries) -> TruncSeries:
-    return a * d - b * c
 
 
 def _aj4_direct(theta: TruncSeries) -> TruncSeries:
@@ -108,8 +104,10 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     contractions ``py`` and ``px`` of the shared squares of ``t_zb``, ``t_wb``
     with the second-order jets.  They are written out here, not read from
     the solution manifold, so the ``aj4`` cross-check compares two
-    independent transcriptions.  Every partial is cut to the known order of
-    the fourth-order jets, the order ``N`` keeps.
+    independent transcriptions.  Each sum of products is one ``dot``, every
+    operand cut to the known order of the fourth-order jets: with
+    ``delta(0) != 0``, ``t_zb`` or ``t_wb`` has a constant term, and ``N``
+    keeps exactly that order.
     """
     t = theta
     t_z = t.derive("z")
@@ -127,57 +125,41 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     t_zzbwb = t_zzb.derive("wb")
     t_zwbwb = t_zwb.derive("wb")
     t_zzzbzb = t_zzzb.derive("zb")
-    t_zzzbwb = t_zzzb.derive("wb")
-    t_zzwbwb = t_zzwb.derive("wb")
     order = t_zzzbzb.order
-    (
-        t_zb, t_wb, t_zzb, t_zwb, t_zbzb, t_zbwb, t_wbwb,
-        t_zzzb, t_zzwb, t_zzbzb, t_zzbwb, t_zwbwb, t_zzzbwb, t_zzwbwb,
-    ) = (
-        s.truncate(order)
-        for s in (
-            t_zb, t_wb, t_zzb, t_zwb, t_zbzb, t_zbwb, t_wbwb,
-            t_zzzb, t_zzwb, t_zzbzb, t_zzbwb, t_zwbwb, t_zzzbwb, t_zzwbwb,
-        )
-    )
-    two = GaussRat.of(2)
 
-    zb2 = t_zb * t_zb
-    wb2 = t_wb * t_wb
-    zbwb2 = two * (t_zb * t_wb)
+    def dot(*parts):
+        return TruncSeries.dot(parts, order)
 
-    delta = _det2(t_zb, t_wb, t_zzb, t_zwb)
-    py = zb2 * t_zwbwb - zbwb2 * t_zzbwb + wb2 * t_zzbzb
-    px = zb2 * t_wbwb - zbwb2 * t_zbwb + wb2 * t_zbzb
-    return (
-        delta * (t_zzzbzb * wb2 - t_zzzbwb * zbwb2 + t_zzwbwb * zb2)
-        + py * _det2(t_zzzb, t_zzwb, t_zb, t_wb)
-        - px * _det2(t_zzzb, t_zzwb, t_zzb, t_zwb)
+    zb2 = dot((t_zb, t_zb, 1))
+    wb2 = dot((t_wb, t_wb, 1))
+    zbwb = dot((t_zb, t_wb, 1))  # enters each sum with weight -2
+    delta = dot((t_zb, t_zwb, 1), (t_wb, t_zzb, -1))
+    py = dot((zb2, t_zwbwb, 1), (zbwb, t_zzbwb, -2), (wb2, t_zzbzb, 1))
+    px = dot((zb2, t_wbwb, 1), (zbwb, t_zbwb, -2), (wb2, t_zbzb, 1))
+    fourth = dot((t_zzzbzb, wb2, 1), (t_zzzb.derive("wb"), zbwb, -2), (t_zzwb.derive("wb"), zb2, 1))
+    return dot(
+        (delta, fourth, 1),
+        (py, dot((t_zzzb, t_wb, 1), (t_zzwb, t_zb, -1)), 1),
+        (px, dot((t_zzzb, t_zwb, 1), (t_zzwb, t_zzb, -1)), -1),
     )
 
 
-def _l0(qa: TruncSeries, qb: TruncSeries, t: TruncSeries, order: int | None = None):
-    """``qa T_b - qb T_a`` on the manifold space, known to ``order``: by
-    default the known order of ``T_a``, the most the products keep.  Every
-    operand is cut to ``order`` first."""
+def _l0(qa: TruncSeries, qb: TruncSeries, t: TruncSeries) -> tuple:
+    """The ``dot`` parts of ``L0[T] = qa T_b - qb T_a`` on the manifold
+    space, and the known order of ``T_a``, the most the products keep."""
     _, av, bv = t.vars
-    ta, tb = t.derive(av), t.derive(bv)
-    if order is None:
-        order = ta.order
-    return qa.truncate(order) * tb.truncate(order) - qb.truncate(order) * ta.truncate(order)
+    ta = t.derive(av)
+    return [(qa, t.derive(bv), 1), (qb, ta, -1)], ta.order
 
 
-def _step(op: tuple, x: TruncSeries, s: GaussRat) -> TruncSeries:
+def _step(op: tuple, x: TruncSeries, s: int) -> TruncSeries:
     """``delta L0[X] - s X l``, the numerator over ``delta^(s+2)`` of
-    ``L[X/delta^s]``; ``op`` is ``(delta Q_a, delta Q_b, l)``."""
+    ``L[X/delta^s]``, in one ``dot``; ``op`` is ``(delta Q_a, delta Q_b,
+    l)``.  ``X`` and ``l`` are cut to the order of ``T_a``: cut to the lower
+    order of the head ``delta L0[X]``, they give the same sum."""
     delta_qa, delta_qb, ell = op
-    head = _l0(delta_qa, delta_qb, x)
-    order = head.order
-    return head - (x.truncate(order) * ell.truncate(order)).scale(s)
-
-
-_THREE = GaussRat.of(3)
-_FIVE = GaussRat.of(5)
+    parts, order = _l0(delta_qa, delta_qb, x)
+    return TruncSeries.dot([*parts, (x, ell, -s)], order)
 
 
 def _aj4_numerator(d: ComplexDefining) -> TruncSeries:
@@ -194,12 +176,11 @@ def _aj4_numerator(d: ComplexDefining) -> TruncSeries:
             raise DegenerateError("Levi form vanishes at the origin")
         num = _aj4_direct(d.theta)
         qa, qb, delta = m.d("a"), m.d("b"), m.delta()
-        p = _l0(qa, qb, m.d("xx"))
+        p = TruncSeries.dot(*_l0(qa, qb, m.d("xx")))
         order = p.derive(m.q.vars[1]).order
-        ell = _l0(qa, qb, delta, order)
-        delta = delta.truncate(order)
-        d.cleared_operator = (delta * qa.truncate(order), delta * qb.truncate(order), ell)
-        diff = num - _step(d.cleared_operator, p, ONE)
+        parts = ([(delta, qa, 1)], [(delta, qb, 1)], _l0(qa, qb, delta)[0])  # l = L0[delta]
+        d.cleared_operator = tuple(TruncSeries.dot(part, order) for part in parts)
+        diff = num - _step(d.cleared_operator, p, 1)
         if not diff.is_zero():
             raise InternalCheckError("the two fourth-order formulas disagree")
         d.aj4_numerator = num.truncate(diff.order)
@@ -216,7 +197,7 @@ def aj6(d: ComplexDefining) -> TruncSeries:
     if d.aj6 is None:
         num = _aj4_numerator(d)
         op = d.cleared_operator
-        d.aj6 = _step(op, _step(op, num, _THREE), _FIVE)
+        d.aj6 = _step(op, _step(op, num, 3), 5)
     return d.aj6
 
 

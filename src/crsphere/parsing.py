@@ -11,10 +11,10 @@ Grammar (whitespace insignificant, no implicit multiplication)::
 ``parse_series`` evaluates the text while it parses it: one recursive
 descent over the tokens builds a ``TruncSeries`` over a declared variable
 list, every value known to the working order and held in the series'
-cleared form.  A term of numbers, ``i`` and variable powers becomes one
-numerator entry with no series product: its key, numerator and
-denominator are multiplied as ints, and checked against ``MAX_COEFF_BITS``
-at the factor where a running bound on their bits passes it.  Other
+cleared form.  A term of numbers, ``i``, variable powers and one-term
+groups becomes one numerator entry with no series product: its key,
+numerator and denominator are multiplied as ints and checked against
+``MAX_COEFF_BITS`` where a running bound on their bits passes it.  Other
 factors go through the series' product; a sum is added into one map.
 Errors come in text order, each with its offset in the text: a character
 outside the grammar first, then each error where the descent meets it.
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .errors import ExprSyntaxError
 from .rational import GaussRat
-from .series import _BITS, TruncSeries, _combine, _key, _product
+from .series import _BITS, TruncSeries, _combine, _dot, _key
 
 MAX_EXPONENT = 9999
 MAX_DEPTH = 100  # parenthesis nesting; keeps the descent off the recursion limit
@@ -113,13 +113,17 @@ class _Descent:
                 return _bounded(_combine(parts))
 
     def term(self) -> TruncSeries:
-        """A product.  Numbers, ``i`` and variable powers multiply one monomial,
-        zero from the order on; it is folded into ``value``, and the product
-        checked, before any other factor and when ``bound`` passes the limit."""
+        """A product.  Numbers, ``i``, variable powers and one-term groups such
+        as ``(1 - i)`` multiply one monomial, zero from the order on; it is
+        folded into ``value``, and the product checked, before any other
+        factor and when ``bound`` passes the limit."""
         value = None  # the product of the factors before the monomial; None for 1
         key, re, im, den, bound = 0, 1, 0, 1, 0
         while True:
             f = self.factor()
+            if type(f) is not tuple and len(f._num) == 1:
+                ((k, (r, i)),) = f._num.items()  # a Gaussian factor adds a bit more
+                f = k, r, i, f._den, max(abs(r), abs(i), f._den).bit_length() + 1
             if type(f) is tuple:
                 k, r, i, d, bits = f
                 key, den, bound = key + k, den * d, bound + bits
@@ -128,7 +132,7 @@ class _Descent:
                 if value is not None or (key, re, im) != (0, den, 0):
                     value = _bounded(self.times(value, key, re, im, den))
                 if type(f) is not tuple:
-                    value = f if value is None else _bounded(_product(value, f, self.order))
+                    value = f if value is None else _bounded(_dot([(value, f, 1)], self.order))
                 key, re, im, den, bound = 0, 1, 0, 1, MAX_COEFF_BITS
             if self.tokens[self.i][0] != "*":
                 return self.times(value, key, re, im, den)
@@ -139,7 +143,7 @@ class _Descent:
         if value is not None and (key, re, im) == (0, den, 0):
             return value
         mono = TruncSeries._reduced(self.vars, self.order, den, {key: (re, im)} if re or im else {})
-        return mono if value is None else _product(value, mono, self.order)
+        return mono if value is None else _dot([(value, mono, 1)], self.order)
 
     def factor(self):
         """A series, or a monomial factor ``(key, re, im, den, bits)``, where
@@ -208,11 +212,11 @@ class _Descent:
         result = None
         while True:
             if n & 1:
-                result = base if result is None else _bounded(_product(result, base, self.order))
+                result = base if result is None else _bounded(_dot([(result, base, 1)], self.order))
             n >>= 1
             if not n:
                 return result
-            base = _bounded(_product(base, base, self.order))
+            base = _bounded(_dot([(base, base, 1)], self.order))
 
 
 def parse_series(text: str, vars: Sequence[str], order: int) -> TruncSeries:

@@ -52,8 +52,8 @@ def first_jet_transfer(m: SolutionManifold) -> TransferOps:
     qxa, qxb, qxx = m.d("xa"), m.d("xb"), m.d("xx")
     return TransferOps(
         delta=delta,
-        a_x=(qb * qxx - qx * qxb).div(delta),
-        b_x=(qx * qxa - qa * qxx).div(delta),
+        a_x=TruncSeries.dot([(qb, qxx, 1), (qx, qxb, -1)]).div(delta),
+        b_x=TruncSeries.dot([(qx, qxa, 1), (qa, qxx, -1)]).div(delta),
         a_y=qxb.div(delta),
         b_y=(-qxa).div(delta),
         a_yx=(-qb).div(delta),
@@ -71,7 +71,7 @@ def apply_dyx(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
     _check_t(m, t)
     delta = _unit_delta(m)
     xv, av, bv = m.q.vars
-    return (m.d("a") * t.derive(bv) - m.d("b") * t.derive(av)).div(delta)
+    return TruncSeries.dot([(m.d("a"), t.derive(bv), 1), (m.d("b"), t.derive(av), -1)]).div(delta)
 
 
 def apply_dy(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
@@ -79,7 +79,7 @@ def apply_dy(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
     _check_t(m, t)
     delta = _unit_delta(m)
     xv, av, bv = m.q.vars
-    return (m.d("xb") * t.derive(av) - m.d("xa") * t.derive(bv)).div(delta)
+    return TruncSeries.dot([(m.d("xb"), t.derive(av), 1), (m.d("xa"), t.derive(bv), -1)]).div(delta)
 
 
 def apply_dx(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
@@ -87,7 +87,7 @@ def apply_dx(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
     _check_t(m, t)
     ops = first_jet_transfer(m)
     xv, av, bv = m.q.vars
-    return t.derive(xv) + ops.a_x * t.derive(av) + ops.b_x * t.derive(bv)
+    return t.derive(xv) + TruncSeries.dot([(ops.a_x, t.derive(av), 1), (ops.b_x, t.derive(bv), 1)])
 
 
 def total_deriv_check(m: SolutionManifold, t: TruncSeries):
@@ -97,7 +97,9 @@ def total_deriv_check(m: SolutionManifold, t: TruncSeries):
     """
     _check_t(m, t)
     xv = m.q.vars[0]
-    lhs = apply_dx(m, t) + m.d("x") * apply_dy(m, t) + m.d("xx") * apply_dyx(m, t)
+    lhs = apply_dx(m, t) + TruncSeries.dot(
+        [(m.d("x"), apply_dy(m, t), 1), (m.d("xx"), apply_dyx(m, t), 1)]
+    )
     return (lhs - t.derive(xv)).lowest_term()
 
 
@@ -117,51 +119,24 @@ def second_jet_transfer(m: SolutionManifold, t: TruncSeries):
     qxa, qxb = m.d("xa"), m.d("xb")
     ta, tb = t.derive(av), t.derive(bv)
     taa, tab, tbb = ta.derive(av), ta.derive(bv), tb.derive(bv)
-    two = GaussRat.of(2)
+    det = m.det
+    dot = TruncSeries.dot
 
     d2 = delta * delta
     d3 = d2 * delta
 
-    # shared T_a / T_b bracket polynomials of the lemma
-    pa = (
-        qa * qa * m.det("b", "bb")
-        - two * (qa * qb * m.det("b", "ab"))
-        + qb * qb * m.det("b", "aa")
-    )
-    pb = (
-        -(qa * qa * m.det("a", "bb"))
-        + two * (qa * qb * m.det("a", "ab"))
-        - qb * qb * m.det("a", "aa")
-    )
+    def closed(c_aa, c_ab, c_bb):
+        # each ``c`` a (series, factor) coefficient of T_aa, T_ab or T_bb; the
+        # T_a and T_b brackets contract them with det(b|.) and -det(a|.)
+        cs = ((c_aa, taa, "aa"), (c_ab, tab, "ab"), (c_bb, tbb, "bb"))
+        head = dot((c, tt, k) for (c, k), tt, _ in cs).div(d2)
+        wa = dot((c, det("b", w), k) for (c, k), _, w in cs)
+        wb_ = dot((c, det("a", w), -k) for (c, k), _, w in cs)
+        return head + dot([(ta, wa, 1), (tb, wb_, 1)]).div(d3)
 
-    def closed(c_aa, c_ab, c_bb, wa, wb_):
-        head = (c_aa * taa + c_ab * tab + c_bb * tbb).div(d2)
-        tail = (ta * wa + tb * wb_).div(d3)
-        return head + tail
-
-    gyxyx = closed(qb * qb, -(two * (qa * qb)), qa * qa, pa, pb)
-    gyyx = closed(
-        -(qb * qxb),
-        qa * qxb + qb * qxa,
-        -(qa * qxa),
-        -(qa * qxa) * m.det("b", "bb")
-        + (qa * qxb + qb * qxa) * m.det("b", "ab")
-        - qb * qxb * m.det("b", "aa"),
-        qa * qxa * m.det("a", "bb")
-        - (qa * qxb + qb * qxa) * m.det("a", "ab")
-        + qb * qxb * m.det("a", "aa"),
-    )
-    gyy = closed(
-        qxb * qxb,
-        -(two * (qxa * qxb)),
-        qxa * qxa,
-        qxa * qxa * m.det("b", "bb")
-        - two * (qxa * qxb * m.det("b", "ab"))
-        + qxb * qxb * m.det("b", "aa"),
-        -(qxa * qxa) * m.det("a", "bb")
-        + two * (qxa * qxb * m.det("a", "ab"))
-        - qxb * qxb * m.det("a", "aa"),
-    )
+    gyxyx = closed((qb * qb, 1), (qa * qb, -2), (qa * qa, 1))
+    gyyx = closed((qb * qxb, -1), (dot([(qa, qxb, 1), (qb, qxa, 1)]), 1), (qa * qxa, -1))
+    gyy = closed((qxb * qxb, 1), (qxa * qxb, -2), (qxa * qxa, 1))
 
     pairs = (
         (gyxyx, apply_dyx(m, apply_dyx(m, t)), "G_yxyx"),
@@ -333,12 +308,12 @@ def third_jet_expanded(m: SolutionManifold, t: TruncSeries) -> TruncSeries:
             if qfactors not in qprods:
                 f1, f2, f3 = qfactors
                 qprods[qfactors] = m.d(f1) * m.d(f2) * m.d(f3)
-            inner.append(qprods[qfactors] * TruncSeries.sum(weighted))
+            inner.append((qprods[qfactors], TruncSeries.sum(weighted), 1))
         s = t
         for ch in word:
             s = s.derive(av if ch == "a" else bv)
-        parts.append(s * TruncSeries.sum(inner))
-    return TruncSeries.sum(parts)
+        parts.append((s, TruncSeries.dot(inner), 1))
+    return TruncSeries.dot(parts)
 
 
 def third_jet_check(m: SolutionManifold, t: TruncSeries):
@@ -388,16 +363,14 @@ def rigid_invariant(xi: TruncSeries) -> TruncSeries:
     z2 = [s.truncate(order) for s in z2]
     u = z1[1]
     square = z1[2] * z1[2]
-    numerators = (  # (weight, numerator) over u^4, u^5, u^6 and u^7
-        ((1, z2[4]),),
-        ((-6, z2[3] * z1[2]), (-4, z2[2] * z1[3]), (-1, z2[1] * z1[4])),
-        ((15, z2[2] * square), (10, z1[3] * z2[1] * z1[2])),
-        ((-15, z2[1] * (square * z1[2])),),
+    numerators = (  # the weighted products over u^5, u^6 and u^7
+        ((z2[3], z1[2], -6), (z2[2], z1[3], -4), (z2[1], z1[4], -1)),
+        ((z2[2], square, 15), (z1[3] * z2[1], z1[2], 10)),
+        ((z2[1], square * z1[2], -15),),
     )
-    total = None
-    for group in numerators:
-        part = TruncSeries.sum([num.scale(GaussRat.of(c)) for c, num in group])
-        total = part if total is None else total * u + part
+    total = z2[4]  # over u^4
+    for parts in numerators:
+        total = TruncSeries.dot([(total, u, 1), *parts])
     return total.div(u.pow(7))
 
 

@@ -10,6 +10,7 @@ paths truncate identically, and none raises it past the ceiling:
 
 * ``f + g``, ``f - g``:  ``min(Kf, Kg)``
 * ``f * g``:             ``min(Kf + val(g), Kg + val(f), Kf + Kg, 128)``
+* ``dot(parts, cap)``:   the least ``f * g`` order of the parts' operands cut to ``cap``
 * ``derive``:            ``K - 1`` (floor 0)
 * ``substitute``:        ``min(Kf, min K of the provided images)``
 * ``div`` (unit divisor): ``min(Kf, Kg)``
@@ -34,12 +35,12 @@ grouping) decode and re-encode keys.  Exponent tuples and ``GaussRat``
 values are built only at the boundary: the constructor clears and
 encodes its input, and ``terms``, ``coeff``, ``constant_term``,
 ``lowest_term`` and ``sorted_terms`` build fresh values on each call.
-The convolution visits, for each left row of degree ``d``, only the
-right rows of degree below ``K - d``; a product with a one-term side is
-no convolution but a shift of the other side's keys and a scale of its
-numerators.  The kernel's helpers are private: the benchmark's tracer
-wraps every public function of this module, and a span per helper call
-would change the spans it counts.
+Every product goes through one kernel, ``_dot``, which adds a whole sum
+``k1 f1 g1 + k2 f2 g2 + ...`` into one accumulator.  Its convolution visits,
+for each left row of degree ``d``, only the right rows of degree below
+``K - d``; a one-term side shifts and scales the other.  The kernel's
+helpers are private: the benchmark's tracer wraps every public function of
+this module, and a span per helper call would change the spans it counts.
 """
 
 from __future__ import annotations
@@ -110,27 +111,42 @@ def _convolve(left: list, right: list, order: int, shift: int, acc: dict) -> dic
     return acc
 
 
-def _product(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
-    """``f * g`` below ``order``, over the product of their denominators.
-    A side of one term ``(k1, r1 + i1 i)`` is a shift and a scale: ``k1``
-    is added to each key of the other side below ``(order - deg k1) <<
-    shift``, and each numerator is multiplied by ``r1 + i1 i``; products
-    of nonzero Gaussian integers are nonzero, so none is filtered out.
-    Else the shorter side leads the convolution, one ``bisect`` per row:
-    both row lists are key-sorted, so either may.  ``_convolve`` does not
-    swap itself, as ``div`` gives it left rows of one degree in any order."""
-    shift = _BITS * len(f.vars)
-    one, other = (f, g) if len(f._num) == 1 else (g, f)
-    if len(one._num) == 1:
-        ((k1, (r1, i1)),) = one._num.items()
-        top = (order - (k1 >> shift)) << shift
-        num = {k1 + k: (r1 * re - i1 * im, r1 * im + i1 * re)
-               for k, (re, im) in other._num.items() if k < top}
-    else:
-        bound = order << shift
-        left, right = sorted((_rows(f._num, bound), _rows(g._num, bound)), key=len)
-        num = _nonzero(_convolve(left, right, order, shift, {}))
-    return TruncSeries._reduced(f.vars, order, f._den * g._den, num)
+def _dot(parts: list, order: int) -> TruncSeries:
+    """``sum(k * f * g)`` below ``order`` over ``(f, g, k)`` parts of one
+    space, added into one accumulator over the lcm of the ``f._den * g._den``.
+    Each part's factor (``k`` times its share of that lcm) scales its shorter
+    side.  A side of one term ``(k1, r1 + i1 i)`` shifts the other side's
+    keys below ``(order - deg k1) << shift`` by ``k1`` and scales them;
+    else the shorter side leads the convolution (``_convolve`` does not
+    swap itself, as ``div`` gives it left rows of one degree in any order).
+    Zeros are dropped and the content divided out once, at the end."""
+    vars = parts[0][0].vars
+    shift = _BITS * len(vars)
+    bound = order << shift
+    den = lcm(*(f._den * g._den for f, g, _ in parts))
+    acc: dict = {}
+    for f, g, k in parts:
+        k *= den // (f._den * g._den)
+        one, other = (f, g) if len(f._num) == 1 else (g, f)
+        if len(one._num) == 1:
+            ((k1, (r1, i1)),) = one._num.items()
+            r1, i1 = r1 * k, i1 * k
+            top = (order - (k1 >> shift)) << shift
+            for key, (re, im) in other._num.items():
+                if key < top:
+                    key += k1
+                    slot = acc.get(key)
+                    if slot is None:
+                        acc[key] = [r1 * re - i1 * im, r1 * im + i1 * re]
+                    else:
+                        slot[0] += r1 * re - i1 * im
+                        slot[1] += r1 * im + i1 * re
+        else:
+            left, right = sorted((_rows(f._num, bound), _rows(g._num, bound)), key=len)
+            if k != 1:
+                left = [(key, re * k, im * k) for key, re, im in left]
+            _convolve(left, right, order, shift, acc)
+    return TruncSeries._reduced(vars, order, den, _nonzero(acc))
 
 
 def _over(c: GaussRat, den: int) -> tuple:
@@ -342,17 +358,26 @@ class TruncSeries:
         num = {key: (re * a - im * b, re * b + im * a) for key, (re, im) in self._num.items()}
         return TruncSeries._reduced(self.vars, self.order, self._den * cden, num)
 
+    @staticmethod
+    def dot(parts: Iterable[tuple], cap: int = MAX_ORDER) -> TruncSeries:
+        """``sum(k * f.truncate(cap) * g.truncate(cap))`` over one or more
+        ``(f, g, k)`` parts of one space, ``k`` a nonzero int, accumulated
+        in one pass; known to the least of the parts' product orders."""
+        parts = list(parts)
+        if cap < 0:
+            raise ValueError("known order must be nonnegative")
+        order = MAX_ORDER
+        for f, g, _ in parts:
+            parts[0][0]._check_space(f)
+            f._check_space(g)
+            kf, kg = min(f.order, cap), min(g.order, cap)
+            order = min(order, kf + min(g.valuation(), kg), kg + min(f.valuation(), kf), kf + kg)
+        return _dot(parts, order)
+
     def __mul__(self, other) -> TruncSeries:
         if isinstance(other, GaussRat):
             return self.scale(other)
-        self._check_space(other)
-        order = min(
-            self.order + other.valuation(),
-            other.order + self.valuation(),
-            self.order + other.order,
-            MAX_ORDER,
-        )
-        return _product(self, other, order)
+        return TruncSeries.dot([(self, other, 1)])
 
     def __rmul__(self, other) -> TruncSeries:
         if isinstance(other, GaussRat):

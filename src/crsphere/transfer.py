@@ -55,8 +55,8 @@ class SolutionManifold:
 
     def det(self, u: str, v: str) -> TruncSeries:
         """The bordered determinant ``Q_u Q_xv - Q_v Q_xu``, evaluated once."""
-        d = self.d
-        return self.kept(u + "|" + v, lambda: d(u) * d("x" + v) - d(v) * d("x" + u))
+        d, dot = self.d, TruncSeries.dot
+        return self.kept(u + "|" + v, lambda: dot([(d(u), d("x" + v), 1), (d(v), d("x" + u), -1)]))
 
     def delta(self) -> TruncSeries:
         return self.det("a", "b")

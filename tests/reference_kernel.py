@@ -5,6 +5,8 @@ packed-key kernel; the reference for the kernel's tests.
 ``reference_mul``, ``reference_div`` and ``reference_substitute`` are the
 former bodies of the parser's multi-term product, ``TruncSeries.__mul__``,
 ``TruncSeries.div`` and ``TruncSeries.substitute`` written over them.
+``reference_dot`` is ``TruncSeries.dot`` as the sum, term by term in
+``reference_sum``, of separately truncated and multiplied parts.
 They read and write the series through two adapters, ``_tuples`` and
 ``_reduced``, which translate between exponent tuples and the series'
 int keys with code of their own, so the reference shares no key code
@@ -14,6 +16,7 @@ with the kernel it checks.
 from __future__ import annotations
 
 from itertools import groupby
+from math import lcm
 from operator import add, itemgetter
 from typing import Mapping, Optional
 
@@ -90,6 +93,28 @@ def reference_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     f._check_space(g)
     order = min(f.order + g.valuation(), g.order + f.valuation(), f.order + g.order)
     return reference_product(f, g, order)
+
+
+def reference_sum(terms: list) -> TruncSeries:
+    """``sum(k * f)`` over ``(f, k)`` pairs of one space, to the least known
+    order, over the lcm of the denominators."""
+    first = terms[0][0]
+    order = min(f.order for f, _ in terms)
+    den = lcm(*(f._den for f, _ in terms))
+    acc: dict = {}
+    for f, k in terms:
+        f._check_space(first)
+        s = k * (den // f._den)
+        for mono, (re, im) in _tuples(f).items():
+            if sum(mono) < order:
+                old = acc.get(mono, (0, 0))
+                acc[mono] = (old[0] + re * s, old[1] + im * s)
+    return _reduced(first.vars, order, den, {m: pair for m, pair in acc.items() if pair != (0, 0)})
+
+
+def reference_dot(parts: list, cap: int) -> TruncSeries:
+    """``sum(k * f.truncate(cap) * g.truncate(cap))``, one product per part."""
+    return reference_sum([(reference_mul(f.truncate(cap), g.truncate(cap)), k) for f, g, k in parts])
 
 
 def reference_substitute(f: TruncSeries, images: Mapping[str, TruncSeries]) -> TruncSeries:

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, deterministic JSON, file input, env cap."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -463,14 +464,15 @@ def test_only_self_test_loads_the_audit(command):
 
 
 # modules a command's process need not load: ``dataclasses`` and ``typing``
-# (each brings ``inspect``), ``tempfile`` (only ``--output`` needs it), the
+# (each brings ``inspect``), ``tempfile`` (only ``--output`` needs it),
+# ``shutil`` (argparse's help width; the CLI reads it with ``os``), the
 # solver (only the commands that solve) and the audit (only ``self-test``)
-UNLOADED = {"dataclasses", "inspect", "typing", "tempfile", "crsphere.solve",
+UNLOADED = {"dataclasses", "inspect", "typing", "tempfile", "shutil", "crsphere.solve",
             "crsphere.selftest", "crsphere.fixtures"}
 IMPORT_BUDGETS = {
     "check": (["--theta", "-wb + z*zb"], UNLOADED),
     "rigid-check": (["--xi", "z*zb + z^2*zb^2"], UNLOADED),
-    "self-test": ([], {"dataclasses", "inspect"}),
+    "self-test": ([], {"dataclasses", "inspect", "shutil"}),
 }
 # runs one job as the ``crsphere`` entry point does, then lists the modules
 BUDGET_PROBE = """
@@ -495,6 +497,24 @@ def test_a_command_process_loads_only_what_it_runs(command):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] in ("spherical-to-order", "non-spherical", "ok")
     assert not unloaded & set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200", None])
+def test_help_is_argparse_help_at_the_terminal_width(monkeypatch, columns):
+    # the CLI's formatter reads the width as ``shutil.get_terminal_size`` does
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def helps():
+        parser = cli._build_parser.__wrapped__()
+        commands = parser._subparsers._group_actions[0].choices.values()
+        return [p.format_help() for p in (parser, *commands)]
+
+    ours = helps()
+    monkeypatch.setattr(cli, "_Formatter", argparse.HelpFormatter)
+    assert helps() == ours
 
 
 def test_package_names_load_lazily():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crsphere.invariants as inv
+import crsphere.series as series
 import crsphere.transfer as transfer
 from crsphere.defining import ComplexDefining, RealGraph, THETA_VARS, to_complex_defining
 from crsphere.errors import DegenerateError, InternalCheckError, RealityError
@@ -24,7 +25,9 @@ from crsphere.transfer import SolutionManifold, dual_manifold
 
 from conftest import check_theta, gauss_rats
 from random_inputs import random_hermitian_xi
-from reference_invariants import aj4, reference_aj4, reference_aj6, reference_rigid_invariant
+from reference_invariants import (
+    aj4, reference_aj4, reference_aj6, reference_cleared_chain, reference_rigid_invariant
+)
 
 ODE_VARS = ("x", "y", "yx")
 
@@ -176,21 +179,58 @@ def test_aj4_cross_check_detects_a_changed_term(monkeypatch):
         aj4(_image(10))
 
 
+def _count_products(monkeypatch, size):
+    """Record ``size(f, g, order)`` of every product that passes through
+    ``series._dot``, the one product kernel, one entry per part."""
+    seen = []
+    dot = series._dot
+
+    def counted(parts, order):
+        seen.extend(size(f, g, order) for f, g, _ in parts)
+        return dot(parts, order)
+
+    monkeypatch.setattr(series, "_dot", counted)
+    return seen
+
+
 # multiplies in one order-12 verdict on ``_image(12)``: 224 while ``aj4`` was
 # cross-checked through the three-species second-jet transfer, 127 after,
 # 46 since ``substitute`` convolves grouped terms without ``__mul__``, 38 since
-# ``_aj4_direct`` factors its third-order groups through two contractions
+# ``_aj4_direct`` factors its third-order groups through two contractions;
+# each is a part of a ``dot`` since the verdict's sums of products are
+# accumulated whole, and none goes through ``__mul__``
 VERDICT_MULTIPLIES = 38
 
 
 def test_verdict_multiply_count(monkeypatch):
     d = ComplexDefining.from_theta(_image(12).theta)
-    calls = []
+    calls = _count_products(monkeypatch, lambda f, g, order: 1)
+    muls = []
     mul = TruncSeries.__mul__
-    monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: muls.append(1) or mul(f, g))
     report = sphericality_verdict(d, 12)
     assert report.verdict == "spherical-to-order"
     assert len(calls) <= VERDICT_MULTIPLIES
+    assert muls == []
+
+
+# series built in one order-12 verdict on ``_image(12)`` (constructor and
+# ``_make`` both counted): 134 while each product of a sum was a series of its
+# own, copied again by the sum and its operands by ``truncate``, 60 since each
+# sum of products is one ``dot``
+VERDICT_SERIES = 60
+
+
+def test_verdict_series_count(monkeypatch):
+    d = ComplexDefining.from_theta(_image(12).theta)
+    built = []
+    make = TruncSeries._make
+    init = TruncSeries.__init__
+    monkeypatch.setattr(TruncSeries, "_make", staticmethod(lambda *a: built.append(1) or make(*a)))
+    monkeypatch.setattr(TruncSeries, "__init__", lambda f, *a: built.append(1) or init(f, *a))
+    report = sphericality_verdict(d, 12)
+    assert report.verdict == "spherical-to-order"
+    assert len(built) <= VERDICT_SERIES
 
 
 # ``GaussRat`` values built in one order-12 verdict on ``_image(12)``: 2,411
@@ -230,16 +270,19 @@ def test_verdict_division_count(monkeypatch):
 # operand term pairs (the two operands' term counts multiplied, summed over
 # the products) in one order-12 verdict on ``_image(12)``: 8,559 while every
 # operand was used at its full known order, 3,914 since each is cut to the
-# order its product keeps
+# order its product keeps; 3,858 counting, as the kernel reads them, only the
+# terms below the order of the sum each product is part of
 VERDICT_MULTIPLY_PAIRS = 3914
+
+
+def _terms_below(f, order):
+    return sum(key >> 7 * f.arity < order for key in f._num)
 
 
 def test_verdict_multiply_pairs(monkeypatch):
     d = ComplexDefining.from_theta(_image(12).theta)
-    pairs = []
-    mul = TruncSeries.__mul__
-    monkeypatch.setattr(
-        TruncSeries, "__mul__", lambda f, g: pairs.append(len(f._num) * len(g._num)) or mul(f, g)
+    pairs = _count_products(
+        monkeypatch, lambda f, g, order: _terms_below(f, order) * _terms_below(g, order)
     )
     report = sphericality_verdict(d, 12)
     assert report.verdict == "spherical-to-order"
@@ -282,6 +325,29 @@ def test_obstructions_match_reference_on_images_and_dense_theta():
     for h in corpus_biholos(12):
         _assert_matches_reference(transform_defining(heisenberg(12), h, 12).theta)
     _assert_matches_reference(heisenberg(12).theta)
+
+
+def _assert_matches_product_bodies(theta):
+    # the dot-based recursion against its former body, a series per product
+    d = ComplexDefining.from_theta(theta)
+    direct, num, op, m5, obstruction = reference_cleared_chain(ComplexDefining.from_theta(theta))
+    # ``==`` compares the variables, the known order, ``_den`` and ``_num``
+    assert inv._aj4_direct(theta) == direct
+    assert inv._aj4_numerator(d) == num
+    assert d.cleared_operator == op
+    assert inv._step(d.cleared_operator, num, 3) == m5
+    assert aj6(d) == obstruction
+
+
+def test_cleared_recursion_matches_its_product_bodies():
+    for h in corpus_biholos(12):
+        _assert_matches_product_bodies(transform_defining(heisenberg(12), h, 12).theta)
+    for order in (12, 16):
+        dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), order)
+        _assert_matches_product_bodies(to_complex_defining(RealGraph(dense_phi), order).theta)
+    rng = random.Random(23)
+    for k in range(30):
+        _assert_matches_product_bodies(parse_series(check_theta(rng, refute=k % 3 != 0), THETA_VARS, 12))
 
 
 def test_aj4_after_the_verdict_matches_reference():

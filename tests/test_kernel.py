@@ -1,10 +1,11 @@
 """The graded-key convolution kernel against the tuple-keyed reference.
 
 ``tests/reference_kernel.py`` keeps the kernel that ``series`` used before
-its monomials were packed into graded keys.  Products, divisions,
-substitutions and parsed products must equal its results, known order
-included, and stay normalised, on spaces of arity 0 to 5 and orders 0 to
-20.  The key format itself and the order ceiling it sets are tested last.
+its monomials were packed into graded keys.  Products, sums of products,
+divisions, substitutions and parsed products must equal its results, known
+order included, and stay normalised, on spaces of arity 0 to 5 and orders
+0 to 20.  The key format itself and the order ceiling it sets are tested
+last.
 """
 
 import itertools
@@ -13,12 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crsphere.errors import ArityError
 from crsphere.parsing import parse_series, render_series
 from crsphere.rational import GaussRat, ONE
 from crsphere.series import MAX_ORDER, TruncSeries, _key, _mono
 
 from conftest import VARS3, _assert_normalised, kernel_rats
-from reference_kernel import reference_div, reference_mul, reference_product, reference_substitute
+from reference_kernel import (
+    reference_div, reference_dot, reference_mul, reference_product, reference_substitute
+)
 
 # arity 0 to 5; the last is the space ``solve_parameters`` works in
 SPACES = ((), ("z",), ("z", "w"), VARS3, ("z", "zb", "w", "wb"), ("x", "y", "yx", "a", "b"))
@@ -136,6 +140,52 @@ def test_one_term_products_match_reference_kernel(pair):
     f, g = pair
     assert 1 in (len(f._num), len(g._num))
     _same(f * g, reference_mul(f, g))
+
+
+@st.composite
+def dots(draw):
+    """``(parts, cap)``: one to four ``(f, g, k)`` parts over one space of
+    arity 1 to 4, operands of any length (one term and zero included) and
+    denominator, ``k`` in ±1..±5, and ``cap`` 0 to 25 or ``MAX_ORDER``."""
+    vars = draw(st.sampled_from(SPACES[1:5]))
+    operand = st.one_of(
+        series_in(vars),
+        series_in(vars, max_terms=1),
+        st.builds(TruncSeries.zero, st.just(vars), st.integers(0, 20)),
+    )
+    factor = st.integers(1, 5).flatmap(lambda n: st.sampled_from((n, -n)))
+    n = draw(st.integers(1, 4))
+    parts = [(draw(operand), draw(operand), draw(factor)) for _ in range(n)]
+    return parts, draw(st.one_of(st.integers(0, 25), st.just(MAX_ORDER)))
+
+
+_ZWB = ("z", "w")
+
+
+@settings(max_examples=300, deadline=None)
+@given(dots())
+# the two parts cancel: the sum is zero, known to the order of the products
+@example(([(parse_series("1/3 + z", _ZWB, 6), parse_series("w - 2/7*z*w", _ZWB, 9), 2),
+           (parse_series("w - 2/7*z*w", _ZWB, 9), parse_series("1/3 + z", _ZWB, 6), -2)], MAX_ORDER))
+# a one-term part beside a convolved one, over unequal denominators, cut to 4
+@example(([(parse_series("3/5*z*w", _ZWB, 8), parse_series("1 - 1/9*w + z^3", _ZWB, 8), -5),
+           (parse_series("1 + 1/2*z", _ZWB, 7), parse_series("w + 1/4*z^2 - 7*w^3", _ZWB, 5), 3)], 4))
+# cap 0: every part is known to order 0
+@example(([(_edge(VARS3, 9, 1), _edge(VARS3, 9, 2), 1)], 0))
+def test_dot_matches_reference_kernel(case):
+    parts, cap = case
+    _same(TruncSeries.dot(parts, cap), reference_dot(parts, cap))
+
+
+def test_dot_checks_spaces_and_cap():
+    f = parse_series("1 + z", ("z",), 5)
+    g = parse_series("1 + w", ("w",), 5)
+    with pytest.raises(ArityError):
+        TruncSeries.dot([(f, f, 1), (f, g, 1)])
+    with pytest.raises(ValueError):
+        TruncSeries.dot([(f, f, 1)], -1)
+    # ``*`` is the one-part case
+    assert TruncSeries.dot([(f, f, 1)]) == f * f
 
 
 @settings(max_examples=200, deadline=None)

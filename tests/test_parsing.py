@@ -381,10 +381,10 @@ def test_parsing_a_check_theta_multiplies_no_series(monkeypatch):
     mul = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
     products = []
-    product = series._product
-    counted = lambda *a: products.append(1) or product(*a)  # noqa: E731
-    monkeypatch.setattr(series, "_product", counted)
-    monkeypatch.setattr(parsing, "_product", counted)
+    dot = series._dot
+    counted = lambda parts, order: products.extend(parts) or dot(parts, order)  # noqa: E731
+    monkeypatch.setattr(series, "_dot", counted)
+    monkeypatch.setattr(parsing, "_dot", counted)
     convolutions = []
     convolve = series._convolve
     monkeypatch.setattr(series, "_convolve", lambda *a: convolutions.append(1) or convolve(*a))
@@ -403,9 +403,13 @@ def test_parsing_a_check_theta_multiplies_no_series(monkeypatch):
         assert calls == []
         # each product has a one-term side, a shift and a scale
         assert convolutions == []
-        # a term of numbers, ``i`` and variable powers is one monomial: the
-        # only products multiply a parenthesised coefficient by one, and the
-        # only size checks are of sums; it was about 178 and 252 per Theta
+        # a term of numbers, ``i``, variable powers and one-term parenthesised
+        # coefficients is one monomial: no product at all (two per group
+        # before the coefficients folded, about 178 before the monomial), and
+        # the only size checks are of sums; it was about 252 per Theta
         groups = text.count("(")
-        assert 0 < len(products) <= 2 * groups
+        assert products == []
         assert len(sizes) <= 2 * groups + 1
+    # a product of two multi-term groups is the one the hook sees
+    parse_series("(1 + z)*(1 - zb)", VARS, 12)
+    assert len(products) == 1
