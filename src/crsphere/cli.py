@@ -4,8 +4,10 @@ Subcommands: check, to-complex, verify-reality, derive-ode, invariants,
 rigid-check, dual, self-test, one row each of ``COMMANDS``.  Input
 arrives inline (``--theta``, ``--xi``, ``--phi``) or from a plain-text
 file of ``key = value`` lines (keys ``vars``, ``order``, ``theta``,
-``xi``, ``phi``; values may be double-quoted; ``#`` starts a comment).  Every command prints one JSON
-report (see the report module for the schema) to stdout or ``--output``.
+``xi``, ``phi``; values may be double-quoted; ``#`` starts a comment).
+``vars`` or ``--vars``, if given, must name the variable space of the
+command's input.  Every command prints one JSON report (see the report
+module for the schema) to stdout or ``--output``.
 
 Exit codes: 0 for any clean verdict (including non-spherical), 1 for
 input errors, 2 for internal cross-check failures.  Reports are
@@ -26,12 +28,13 @@ from .defining import (
     XI_VARS,
     ComplexDefining,
     RealGraph,
+    detect_rigid,
     levi_delta,
     to_complex_defining,
 )
-from .errors import CrsError, InternalCheckError
+from .errors import ArityError, CrsError, InternalCheckError
 from .invariants import (
-    koppisch_check, levi_stage, reality_stage, rigid_verdict, sphericality_verdict
+    aj4_numerator, koppisch_check, levi_stage, reality_stage, rigid_verdict, sphericality_verdict
 )
 from .parsing import parse_series, render_series
 from .report import (
@@ -49,13 +52,13 @@ DEFAULT_ORDER_CAP = 16
 
 
 class JobConfig:
-    """One job: the command, its input text, the working order (capped by
-    ``CRS_MAX_ORDER``, at least the command's minimum) and ``--timings``."""
+    """One job: the command, the text of its one input, the working order
+    (capped by ``CRS_MAX_ORDER``, at least the command's minimum) and
+    ``--timings``."""
 
-    __slots__ = ("command", "theta", "xi", "phi", "vars", "order", "timings")
+    __slots__ = ("command", "text", "order", "timings")
 
-    def __init__(self, command: str, theta: str | None = None, xi: str | None = None,
-                 phi: str | None = None, vars: tuple = THETA_VARS, order: int = DEFAULT_ORDER,
+    def __init__(self, command: str, text: str | None = None, order: int = DEFAULT_ORDER,
                  timings: bool = False):
         if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}")
@@ -74,8 +77,7 @@ class JobConfig:
             order = cap
         if order < minimum:
             raise ValueError(f"order {order} too small for {command!r} (minimum {minimum})")
-        self.command, self.theta, self.xi, self.phi = command, theta, xi, phi
-        self.vars, self.order, self.timings = vars, order, timings
+        self.command, self.text, self.order, self.timings = command, text, order, timings
 
 
 def _read_job_file(path: str) -> dict:
@@ -96,10 +98,7 @@ def _read_job_file(path: str) -> dict:
 
 
 def _parse_theta(cfg: JobConfig) -> ComplexDefining:
-    if cfg.theta is None:
-        raise ValueError(f"{cfg.command!r} needs a defining function (--theta)")
-    theta = parse_series(cfg.theta, cfg.vars, cfg.order)
-    return ComplexDefining.from_theta(theta)
+    return ComplexDefining.from_theta(parse_series(cfg.text, THETA_VARS, cfg.order))
 
 
 # -- command handlers: (cfg, clock) -> Report; run_job attaches the timings --
@@ -107,7 +106,7 @@ def _parse_theta(cfg: JobConfig) -> ComplexDefining:
 
 def _check(cfg: JobConfig, clock: StageClock) -> Report:
     d = clock("parse", lambda: _parse_theta(cfg))
-    return sphericality_verdict(d, cfg.order, clock)
+    return sphericality_verdict(d, clock)
 
 
 def _verify_reality(cfg: JobConfig, clock: StageClock) -> Report:
@@ -116,16 +115,17 @@ def _verify_reality(cfg: JobConfig, clock: StageClock) -> Report:
 
 
 def _to_complex(cfg: JobConfig, clock: StageClock) -> Report:
-    if cfg.phi is None:
-        raise ValueError("'to-complex' needs a real graphing function (--phi)")
-    phi = clock("parse", lambda: parse_series(cfg.phi, GRAPH_VARS, cfg.order))
+    phi = clock("parse", lambda: parse_series(cfg.text, GRAPH_VARS, cfg.order))
     d = clock("solve", lambda: to_complex_defining(RealGraph(phi), cfg.order))
     delta, _ = clock("levi", lambda: levi_delta(d))
     return Report(
         VERDICT_OK,
         tested_order=d.theta.order,
         delta_at_origin=delta.constant_term(),
-        payload={"theta": clock("render", lambda: render_series(d.theta)), "rigid": d.rigid},
+        payload={
+            "theta": clock("render", lambda: render_series(d.theta)),
+            "rigid": detect_rigid(d.theta),
+        },
     )
 
 
@@ -145,23 +145,24 @@ def _derive_ode(cfg: JobConfig, clock: StageClock) -> Report:
 
 def _invariants(cfg: JobConfig, clock: StageClock) -> Report:
     d = clock("parse", lambda: _parse_theta(cfg))
-    report = sphericality_verdict(d, cfg.order, clock)
+    report = sphericality_verdict(d, clock)
     if report.verdict in (VERDICT_SPHERICAL, VERDICT_NON_SPHERICAL):
-        # the verdict keeps the numerator delta^3 aj4 on ``d``; delta is a unit
-        report.payload["aj4_vanishes"] = d.aj4_numerator.is_zero()
+        # the verdict kept the numerator on ``d.manifold``
+        report.payload["aj4_vanishes"] = aj4_numerator(d).is_zero()
         report.payload["aj6_vanishes"] = report.verdict == VERDICT_SPHERICAL
     return report
 
 
 def _rigid_check(cfg: JobConfig, clock: StageClock) -> Report:
-    if cfg.xi is None:
-        raise ValueError("'rigid-check' needs a rigid part (--xi)")
-    xi = clock("parse", lambda: parse_series(cfg.xi, XI_VARS, cfg.order))
+    xi = clock("parse", lambda: parse_series(cfg.text, XI_VARS, cfg.order))
     return rigid_verdict(xi, clock)
 
 
 def _dual(cfg: JobConfig, clock: StageClock) -> Report:
     d = clock("parse", lambda: _parse_theta(cfg))
+    degenerate = levi_stage(d, clock)
+    if degenerate is not None:
+        return degenerate
     dual = clock("dual", lambda: d.manifold.dual(cfg.order))
     # for a surface satisfying the reality condition the dual graph is
     # the coefficient-conjugate with the conjugated slot leading
@@ -192,31 +193,39 @@ def _self_test(cfg: JobConfig, clock: StageClock) -> Report:
     )
 
 
-# A row of the command table, keyed by the command name: its help, the option carrying
-# its input (or None), its least order and its handler ``(cfg, clock) -> Report``.  The
+# A row of the command table, keyed by the command name: its help, the key of its input
+# in ``INPUTS`` (or None), its least order and its handler ``(cfg, clock) -> Report``.  The
 # sixth-order pipeline loses six derivative orders; below seven it cannot report past degree 0.
 Command = namedtuple("Command", "help option min_order handler")
 
+# each input key: the option and job-file key ``--<key>`` / ``<key> =``, with its
+# description and variable space
+INPUTS = {
+    "theta": ("defining function", THETA_VARS),
+    "xi": ("rigid part", XI_VARS),
+    "phi": ("real graphing function", GRAPH_VARS),
+}
+
 
 COMMANDS = {
-    "check": Command("full sphericality verdict for a defining function", "--theta", 7, _check),
+    "check": Command("full sphericality verdict for a defining function", "theta", 7, _check),
     "to-complex": Command(
         "convert a real graph u = phi(x, y, v) to a complex defining equation",
-        "--phi", 4, _to_complex,
+        "phi", 4, _to_complex,
     ),
     "verify-reality": Command(
-        "check the reality condition of a defining function", "--theta", 4, _verify_reality
+        "check the reality condition of a defining function", "theta", 4, _verify_reality
     ),
     "derive-ode": Command(
-        "eliminate the parameters: the associated second-order ODE", "--theta", 4, _derive_ode
+        "eliminate the parameters: the associated second-order ODE", "theta", 4, _derive_ode
     ),
     "invariants": Command(
-        "sphericality verdict plus invariant vanishing flags", "--theta", 7, _invariants
+        "sphericality verdict plus invariant vanishing flags", "theta", 7, _invariants
     ),
     "rigid-check": Command(
-        "sphericality of a rigid surface from its part Xi(z, zb)", "--xi", 7, _rigid_check
+        "sphericality of a rigid surface from its part Xi(z, zb)", "xi", 7, _rigid_check
     ),
-    "dual": Command("dual solution manifold and duality cross-checks", "--theta", 4, _dual),
+    "dual": Command("dual solution manifold and duality cross-checks", "theta", 4, _dual),
     "self-test": Command("run the pinned fixture corpus", None, 4, _self_test),
 }
 
@@ -268,13 +277,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-_INPUT_HELP = {
-    "--theta": "defining function over (z, zb, wb)",
-    "--xi": "rigid part over (z, zb)",
-    "--phi": "real graphing function over (x, y, v)",
-}
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built on first use and reused: parse_args keeps no state between
@@ -300,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, parents=[shared], formatter_class=_Formatter)
         if command.option is not None:
-            p.add_argument(command.option, help=_INPUT_HELP[command.option])
+            what, space = INPUTS[command.option]
+            p.add_argument(f"--{command.option}", help=f"{what} over ({', '.join(space)})")
     return parser
 
 
@@ -308,11 +311,6 @@ def _config_from_args(args) -> JobConfig:
     values = {}
     if args.input:
         values = _read_job_file(args.input)
-    theta = getattr(args, "theta", None) or values.get("theta")
-    xi = getattr(args, "xi", None) or values.get("xi")
-    phi = getattr(args, "phi", None) or values.get("phi")
-    names = args.vars or values.get("vars")
-    vars_ = THETA_VARS if names is None else tuple(v.strip() for v in names.split(","))
     if args.order is not None:
         order = args.order
     elif "order" in values:
@@ -324,15 +322,17 @@ def _config_from_args(args) -> JobConfig:
             ) from None
     else:
         order = DEFAULT_ORDER
-    return JobConfig(
-        command=args.command,
-        theta=theta,
-        xi=xi,
-        phi=phi,
-        vars=vars_,
-        order=order,
-        timings=args.timings,
-    )
+    key = COMMANDS[args.command].option
+    text = None if key is None else getattr(args, key) or values.get(key)
+    cfg = JobConfig(args.command, text, order, args.timings)
+    if key is not None:
+        what, space = INPUTS[key]
+        if text is None:
+            raise ValueError(f"{args.command!r} needs a {what} (--{key})")
+        names = args.vars or values.get("vars")
+        if names is not None and tuple(v.strip() for v in names.split(",")) != space:
+            raise ArityError(f"{what} must use variables {space}")
+    return cfg
 
 
 def _error(message: str) -> Report:

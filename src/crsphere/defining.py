@@ -15,7 +15,10 @@ conjugate; the Levi form is the determinant
 whose value at the origin decides nondegeneracy.  It is the bordered
 determinant ``det(a|b)`` of the solution manifold ``y = Theta``, so it
 lives there: each ``ComplexDefining`` builds that manifold once, on first
-use, and ``levi_delta`` reads the determinant from its cache.
+use, and ``levi_delta`` reads the determinant from its cache.  The
+invariants of the verdict are kept on that manifold too: a
+``ComplexDefining`` holds only ``Theta``, its manifold and its reality
+witness.
 """
 
 from __future__ import annotations
@@ -57,26 +60,22 @@ class RealGraph:
 
 
 class ComplexDefining:
-    """``Theta`` with its rigidity flag; always of the form ``-wb + O(2)``.
-    Equal by ``(theta, rigid)``: what is kept on it is not compared."""
+    """``Theta``, always of the form ``-wb + O(2)``, with what is computed
+    from it once: its solution manifold (which keeps the invariants) and its
+    reality witness.  Equal by ``theta``."""
 
-    def __init__(self, theta: TruncSeries, rigid: bool = False):
+    def __init__(self, theta: TruncSeries):
         self.theta = theta
-        self.rigid = rigid
-        # kept by ``invariants`` once computed: the cross-checked numerator
-        # ``delta^3 aj4``, the operator ``(delta Q_a, delta Q_b, L0[delta])``
-        # of the denominator-cleared recursion, and the obstruction ``aj6``
-        self.aj4_numerator = self.cleared_operator = self.aj6 = None
 
     def __eq__(self, other):
         if other.__class__ is not ComplexDefining:
             return NotImplemented
-        return self.theta == other.theta and self.rigid == other.rigid
+        return self.theta == other.theta
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"ComplexDefining(theta={self.theta!r}, rigid={self.rigid!r})"
+        return f"ComplexDefining(theta={self.theta!r})"
 
     @cached_property
     def manifold(self) -> SolutionManifold:
@@ -85,8 +84,10 @@ class ComplexDefining:
 
     @cached_property
     def reality_witness(self) -> tuple | None:
-        """``verify_reality`` at the full known order, checked on first use."""
-        return _reality_witness(self.theta)
+        """``verify_reality``, checked on first use."""
+        composed = self.theta.substitute({"wb": theta_bar(self.theta)})
+        w = TruncSeries.variable("w", ("z", "zb", "w"), composed.order)
+        return (composed - w).lowest_term()
 
     @staticmethod
     def from_theta(theta: TruncSeries) -> ComplexDefining:
@@ -103,7 +104,7 @@ class ComplexDefining:
                 and lin["wb"] == -ONE
             ):
                 raise ValueError("defining function must have linear part -wb")
-        return ComplexDefining(theta, detect_rigid(theta))
+        return ComplexDefining(theta)
 
 
 def theta_bar(theta: TruncSeries) -> TruncSeries:
@@ -116,28 +117,17 @@ def theta_bar(theta: TruncSeries) -> TruncSeries:
     return theta.conjugate({"z": "zb", "zb": "z", "wb": "w"}).reorder(("z", "zb", "w"))
 
 
-def verify_reality(d: ComplexDefining, order: int | None = None):
-    """Check ``w == Theta(z, zb, Theta_bar(zb, z, w))`` to the given order.
+def verify_reality(d: ComplexDefining):
+    """Check ``w == Theta(z, zb, Theta_bar(zb, z, w))`` to the known order.
 
     Returns ``None`` on success, else the lowest graded-lex nonzero term of
     the residual as a ``(monomial, coefficient)`` witness over ``(z, zb, w)``.
-    Without ``order`` the witness is kept on ``d``, so each defining
-    function is composed with its conjugate once.
+    The witness is kept on ``d``, so each defining function is composed
+    with its conjugate once.
     The second functional equation of the reality condition is equivalent
     by conjugation and is covered by a property test instead.
     """
-    if order is None:
-        return d.reality_witness
-    return _reality_witness(d.theta.truncate(order))
-
-
-def _reality_witness(theta: TruncSeries):
-    tb = theta_bar(theta)
-    composed = theta.substitute({"wb": tb})
-    residual = composed - TruncSeries.variable("w", ("z", "zb", "w"), composed.order)
-    if residual.is_zero():
-        return None
-    return residual.lowest_term()
+    return d.reality_witness
 
 
 def levi_delta(d: ComplexDefining):

@@ -162,29 +162,38 @@ def _step(op: tuple, x: TruncSeries, s: int) -> TruncSeries:
     return TruncSeries.dot([*parts, (x, ell, -s)], order)
 
 
-def _aj4_numerator(d: ComplexDefining) -> TruncSeries:
-    """``N = delta^3 aj4``, kept on ``d``.
+def _cleared_aj4(d: ComplexDefining) -> tuple:
+    """``(N, op)``: ``N = delta^3 aj4`` and the operator ``op = (delta Q_a,
+    delta Q_b, l)`` of the denominator-cleared recursion, kept on ``d.manifold``.
 
     The closed formula is checked against the step ``s = 1`` from
     ``P = L0[Theta_zz]`` on ``d.manifold``.  That step is the first to use
-    the operator ``(delta Q_a, delta Q_b, l)``; it is built once, cut to
-    the order the step keeps, and kept on ``d`` for ``aj6``.
+    the operator; it is built once, cut to the order the step keeps, and
+    kept with ``N`` for ``aj6``.
     """
-    if d.aj4_numerator is None:
-        m = d.manifold
-        if not m.solvable:
-            raise DegenerateError("Levi form vanishes at the origin")
+    m = d.manifold
+    if not m.solvable:
+        raise DegenerateError("Levi form vanishes at the origin")
+
+    def cross_checked():
         num = _aj4_direct(d.theta)
         qa, qb, delta = m.d("a"), m.d("b"), m.delta()
         p = TruncSeries.dot(*_l0(qa, qb, m.d("xx")))
         order = p.derive(m.q.vars[1]).order
         parts = ([(delta, qa, 1)], [(delta, qb, 1)], _l0(qa, qb, delta)[0])  # l = L0[delta]
-        d.cleared_operator = tuple(TruncSeries.dot(part, order) for part in parts)
-        diff = num - _step(d.cleared_operator, p, 1)
+        op = tuple(TruncSeries.dot(part, order) for part in parts)
+        diff = num - _step(op, p, 1)
         if not diff.is_zero():
             raise InternalCheckError("the two fourth-order formulas disagree")
-        d.aj4_numerator = num.truncate(diff.order)
-    return d.aj4_numerator
+        return num.truncate(diff.order), op
+
+    return m.kept("aj4", cross_checked)
+
+
+def aj4_numerator(d: ComplexDefining) -> TruncSeries:
+    """The cross-checked numerator ``N = delta^3 aj4``; it vanishes iff
+    ``aj4`` does, since ``delta`` is a unit."""
+    return _cleared_aj4(d)[0]
 
 
 def aj6(d: ComplexDefining) -> TruncSeries:
@@ -192,13 +201,10 @@ def aj6(d: ComplexDefining) -> TruncSeries:
 
     Two steps ``X/delta^s -> (delta L0[X] - s X l)/delta^(s+2)`` from
     ``N = delta^3 aj4``: ``M = delta L0[N] - 3 N l`` over ``delta^5``, then
-    ``aj6 = delta L0[M] - 5 M l``, with no division.  Kept on ``d``.
+    ``aj6 = delta L0[M] - 5 M l``, with no division.  Kept on ``d.manifold``.
     """
-    if d.aj6 is None:
-        num = _aj4_numerator(d)
-        op = d.cleared_operator
-        d.aj6 = _step(op, _step(op, num, 3), 5)
-    return d.aj6
+    num, op = _cleared_aj4(d)
+    return d.manifold.kept("aj6", lambda: _step(op, _step(op, num, 3), 5))
 
 
 def hermitian_witness(xi: TruncSeries) -> tuple | None:
@@ -270,17 +276,15 @@ def _aj6_report(d: ComplexDefining) -> Report:
 def verdict_tail(d: ComplexDefining, clock: StageClock, aj6_report=_aj6_report) -> Report:
     """The stages after reality: Levi form, ``aj4`` with its cross-check,
     then ``aj6`` with its report, ``aj6_report(d)``, so that the stages
-    time all of the work."""
+    time all of the work.  ``aj4`` and ``aj6`` are kept on ``d.manifold``."""
     degenerate = levi_stage(d, clock)
     if degenerate is not None:
         return degenerate
-    clock("aj4", lambda: _aj4_numerator(d))  # kept on ``d``; timed apart from aj6
+    clock("aj4", lambda: _cleared_aj4(d))  # timed apart from aj6
     return clock("aj6", lambda: aj6_report(d))
 
 
-def sphericality_verdict(
-    d: ComplexDefining, order: int, clock: StageClock | None = None
-) -> Report:
+def sphericality_verdict(d: ComplexDefining, clock: StageClock | None = None) -> Report:
     """Run the verdict pipeline: reality, Levi form, sixth-order obstruction.
 
     Total on its defining-function input: every failure mode becomes a
@@ -289,11 +293,7 @@ def sphericality_verdict(
     stages are timed by ``clock``.
     """
     clock = clock or StageClock()
-    # without truncation the caller's ``d`` is reused, keeping what is computed here
-    work = d
-    if d.theta.order > order:
-        work = ComplexDefining.from_theta(d.theta.truncate(order))
-    return reality_stage(work, clock) or verdict_tail(work, clock)
+    return reality_stage(d, clock) or verdict_tail(d, clock)
 
 
 def rigid_verdict(xi: TruncSeries, clock: StageClock | None = None) -> Report:
@@ -311,7 +311,7 @@ def rigid_verdict(xi: TruncSeries, clock: StageClock | None = None) -> Report:
     witness = clock("reality", lambda: hermitian_witness(xi))
     if witness is not None:
         return _violated(witness, xi.order)
-    d = clock("levi", lambda: ComplexDefining(_rigid_theta(xi), rigid=True))
+    d = clock("levi", lambda: ComplexDefining(_rigid_theta(xi)))
     return verdict_tail(d, clock, _rigid_report)
 
 

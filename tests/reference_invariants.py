@@ -27,8 +27,8 @@ RIGID_COEFFS = (1, -6, -4, -1, 15, 10, -15)
 
 def aj4(d):
     """The fourth-order obstruction ``N / delta^3``: the numerator ``N`` is
-    the verdict's, cross-checked and kept on ``d``."""
-    return inv._aj4_numerator(d).div(d.manifold.delta().pow(3))
+    the verdict's, cross-checked and kept on ``d.manifold``."""
+    return inv.aj4_numerator(d).div(d.manifold.delta().pow(3))
 
 
 def _det2(a, b, c, d):

@@ -52,7 +52,7 @@ def test_criterion_1_heisenberg_sphere():
     assert delta == TruncSeries.one(THETA_VARS, delta.order)
     assert aj4(d).is_zero()
     assert aj6(d).is_zero()
-    report = sphericality_verdict(d, 10)
+    report = sphericality_verdict(d)
     assert report.verdict == "spherical-to-order"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import crsphere
 import crsphere.cli as cli
+import crsphere.defining as dm
 import crsphere.invariants as inv
 import crsphere.selftest as audit
 import crsphere.transfer as tr
@@ -230,7 +231,7 @@ def test_rigid_check_matches_the_seven_term_formula(seed, order, u0, const, lin,
         (2, 0): harmonic, (0, 2): harmonic.conj(),
     }
     xi = random_hermitian_xi(random.Random(seed), order) + TruncSeries(XI_VARS, low, order)
-    report = cli.run_job(cli.JobConfig(command="rigid-check", xi=render_series(xi), order=order))
+    report = cli.run_job(cli.JobConfig(command="rigid-check", text=render_series(xi), order=order))
     assert render_report(report) == render_report(_seven_term_report(xi))
 
 
@@ -245,6 +246,28 @@ def test_job_file_input(tmp_path, capsys):
     code = main(["check", "--input", str(job)])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["verdict"] == "spherical-to-order"
+
+
+@pytest.mark.parametrize(
+    "job, wrong, message",
+    [
+        (["check", "--theta=-wb + z*zb"], "x, y, v",
+         "defining function must use variables ('z', 'zb', 'wb')"),
+        (["to-complex", "--phi=x^2 + y^2"], "z, zb, wb",
+         "real graphing function must use variables ('x', 'y', 'v')"),
+        (["rigid-check", "--xi=z*zb"], "z, zb, wb", "rigid part must use variables ('z', 'zb')"),
+    ],
+)
+def test_vars_other_than_the_input_space_is_one_error_report(tmp_path, job, wrong, message):
+    path = tmp_path / "job.txt"
+    path.write_text(f"vars = {wrong}\n")
+    for argv in ([*job, "--vars", wrong], [*job, "--input", str(path)]):
+        proc = run_cli(argv, timeout=30)
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout)["message"] == message  # exactly one document
+    # the input's own space, spaced as the user likes, is accepted
+    names = message.split("(")[1].rstrip(")").replace("'", "").replace(", ", " ,")
+    assert main([*job, "--vars", names]) == 0
 
 
 def test_job_file_order_error_names_file_key_and_value(tmp_path):
@@ -386,7 +409,7 @@ def test_report_without_timings_is_pinned(command, capsys):
         (["to-complex", "--phi", "x^2 + y^2"], {"parse", "solve", "levi", "render"}),
         # a nonzero right-hand side, so that rendering it takes a measurable time
         (["derive-ode", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "levi", "eliminate", "render"}),
-        (["dual", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "dual", "koppisch", "render"}),
+        (["dual", "--theta", "-wb + z*zb + z^2*zb^2"], {"parse", "levi", "dual", "koppisch", "render"}),
         (["rigid-check", "--xi", "z*zb + z^2*zb^2"], {"parse", "reality", "levi", "aj4", "aj6"}),
     ],
 )
@@ -417,12 +440,12 @@ def _dense_theta(order):
 def test_stages_cover_the_job(command):
     # the named stages account for at least 90% of the job's wall time
     inputs = {
-        "to-complex": {"phi": DENSE_PHI},
-        "rigid-check": {"xi": "z*zb + z^4*zb^2 + z^2*zb^4 + z^3*zb^3 + 2*z^2*zb^2"},
-        "self-test": {},
+        "to-complex": DENSE_PHI,
+        "rigid-check": "z*zb + z^4*zb^2 + z^2*zb^4 + z^3*zb^3 + 2*z^2*zb^2",
+        "self-test": None,
     }
-    kwargs = inputs[command] if command in inputs else {"theta": _dense_theta(12)}
-    cfg = cli.JobConfig(command=command, order=12, timings=True, **kwargs)
+    text = inputs[command] if command in inputs else _dense_theta(12)
+    cfg = cli.JobConfig(command=command, text=text, order=12, timings=True)
     gc.collect()  # a pause to collect earlier garbage is not the job's work
     start = time.perf_counter_ns()
     report = cli.run_job(cfg)
@@ -622,6 +645,30 @@ def test_dual_job_builds_the_dual_once(capsys, monkeypatch):
     assert code == 0
     assert capsys.readouterr().out.rstrip("\n") == PINNED_DUAL
     assert len(calls) == 1
+
+
+def test_dual_of_a_levi_degenerate_theta_is_a_verdict():
+    # ``dual`` answers as ``derive-ode`` does, before it builds a dual manifold
+    procs = [run_cli([command, "--theta=-wb", "--order", "4"], timeout=30)
+             for command in ("dual", "derive-ode")]
+    assert [p.returncode for p in procs] == [0, 0] and procs[0].stderr == ""
+    assert procs[0].stdout == procs[1].stdout
+    assert json.loads(procs[0].stdout)["verdict"] == VERDICT_LEVI_DEGENERATE
+
+
+def test_a_job_detects_rigidity_only_for_to_complex(capsys, monkeypatch):
+    rigid, direct_calls = [], []
+    detect, direct = dm.detect_rigid, inv._aj4_direct
+    for module in (dm, cli):
+        monkeypatch.setattr(module, "detect_rigid", lambda theta: rigid.append(1) or detect(theta))
+    monkeypatch.setattr(inv, "_aj4_direct", lambda theta: direct_calls.append(1) or direct(theta))
+    assert main(["check", "--theta", "-wb + z*zb + z^2*zb^2", "--order", "10"]) == 0
+    assert (len(rigid), len(direct_calls)) == (0, 1)
+    for phi, want in (("x^2 + y^2", True), (DENSE_PHI, False)):
+        capsys.readouterr()
+        assert main(["to-complex", "--phi", phi, "--order", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["rigid"] is want
+    assert len(rigid) == 2
 
 
 def test_invariants_payload(capsys, monkeypatch):

@@ -208,7 +208,7 @@ def test_verdict_multiply_count(monkeypatch):
     muls = []
     mul = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__", lambda f, g: muls.append(1) or mul(f, g))
-    report = sphericality_verdict(d, 12)
+    report = sphericality_verdict(d)
     assert report.verdict == "spherical-to-order"
     assert len(calls) <= VERDICT_MULTIPLIES
     assert muls == []
@@ -228,7 +228,7 @@ def test_verdict_series_count(monkeypatch):
     init = TruncSeries.__init__
     monkeypatch.setattr(TruncSeries, "_make", staticmethod(lambda *a: built.append(1) or make(*a)))
     monkeypatch.setattr(TruncSeries, "__init__", lambda f, *a: built.append(1) or init(f, *a))
-    report = sphericality_verdict(d, 12)
+    report = sphericality_verdict(d)
     assert report.verdict == "spherical-to-order"
     assert len(built) <= VERDICT_SERIES
 
@@ -246,7 +246,7 @@ def test_verdict_gaussrat_count(monkeypatch):
     built = []
     init = GaussRat.__init__
     monkeypatch.setattr(GaussRat, "__init__", lambda q, *a: built.append(1) or init(q, *a))
-    report = sphericality_verdict(d, 12)
+    report = sphericality_verdict(d)
     assert report.verdict == "spherical-to-order"
     assert len(built) <= VERDICT_GAUSSRATS
 
@@ -262,7 +262,7 @@ def test_verdict_division_count(monkeypatch):
     calls = []
     div = TruncSeries.div
     monkeypatch.setattr(TruncSeries, "div", lambda f, g: calls.append(1) or div(f, g))
-    report = sphericality_verdict(d, 12)
+    report = sphericality_verdict(d)
     assert report.verdict == "spherical-to-order"
     assert len(calls) <= VERDICT_DIVISIONS
 
@@ -284,7 +284,7 @@ def test_verdict_multiply_pairs(monkeypatch):
     pairs = _count_products(
         monkeypatch, lambda f, g, order: _terms_below(f, order) * _terms_below(g, order)
     )
-    report = sphericality_verdict(d, 12)
+    report = sphericality_verdict(d)
     assert report.verdict == "spherical-to-order"
     assert sum(pairs) <= VERDICT_MULTIPLY_PAIRS
 
@@ -333,9 +333,8 @@ def _assert_matches_product_bodies(theta):
     direct, num, op, m5, obstruction = reference_cleared_chain(ComplexDefining.from_theta(theta))
     # ``==`` compares the variables, the known order, ``_den`` and ``_num``
     assert inv._aj4_direct(theta) == direct
-    assert inv._aj4_numerator(d) == num
-    assert d.cleared_operator == op
-    assert inv._step(d.cleared_operator, num, 3) == m5
+    assert inv._cleared_aj4(d) == (num, op)
+    assert inv._step(op, num, 3) == m5
     assert aj6(d) == obstruction
 
 
@@ -354,7 +353,7 @@ def test_aj4_after_the_verdict_matches_reference():
     # the verdict keeps only the numerator; ``aj4`` divides it on request
     theta = _image(12).theta
     d = ComplexDefining.from_theta(theta)
-    sphericality_verdict(d, 12)
+    sphericality_verdict(d)
     assert aj4(d) == reference_aj4(ComplexDefining.from_theta(theta))
 
 
@@ -552,7 +551,7 @@ def test_pipeline_equivalence_deep_on_rigid_fixture():
 
 
 def test_verdict_heisenberg():
-    report = sphericality_verdict(heisenberg(), 10)
+    report = sphericality_verdict(heisenberg())
     assert report.verdict == "spherical-to-order"
     assert report.tested_order >= 4
     assert report.delta_at_origin == GaussRat.of(1)
@@ -562,24 +561,24 @@ def test_verdict_builds_one_solution_manifold(monkeypatch):
     built = []
     init = SolutionManifold.__init__
     monkeypatch.setattr(SolutionManifold, "__init__", lambda m, q: built.append(m) or init(m, q))
-    report = sphericality_verdict(defining("-wb + z*zb + z^2*zb^2"), 10)
+    report = sphericality_verdict(defining("-wb + z*zb + z^2*zb^2"))
     assert report.verdict == "non-spherical"
     assert len(built) == 1
 
 
 def test_verdict_flat():
-    report = sphericality_verdict(defining("-wb", 8), 8)
+    report = sphericality_verdict(defining("-wb", 8))
     assert report.verdict == "levi-degenerate"
 
 
 def test_verdict_reality_violated():
-    report = sphericality_verdict(defining("-wb + i*z*zb", 8), 8)
+    report = sphericality_verdict(defining("-wb + i*z*zb", 8))
     assert report.verdict == "reality-violated"
     assert report.witness_monomial == (1, 1, 0)
 
 
 def test_verdict_nonspherical_with_pinned_witness():
-    report = sphericality_verdict(defining("-wb + z*zb + z^4*zb^2 + z^2*zb^4", 12), 12)
+    report = sphericality_verdict(defining("-wb + z*zb + z^4*zb^2 + z^2*zb^4", 12))
     assert report.verdict == "non-spherical"
     assert report.witness_monomial == (0, 0, 0)
     assert report.witness_coefficient == GaussRat.of(48)

@@ -101,12 +101,10 @@ def test_complex_defining_equality_ignores_what_is_kept():
         return ComplexDefining.from_theta(parse_series(text, THETA_VARS, 10))
 
     kept, fresh = defining("-wb + z*zb + z^2*zb^2"), defining("-wb + z*zb + z^2*zb^2")
-    assert sphericality_verdict(kept, 10).verdict == "non-spherical"
-    assert kept.aj4_numerator is not None and kept.cleared_operator is not None
-    assert kept.aj6 is not None and fresh.aj4_numerator is None
+    assert sphericality_verdict(kept).verdict == "non-spherical"
+    assert {"aj4", "aj6"} <= set(kept.manifold._cache) and "manifold" not in vars(fresh)
     assert kept == fresh
-    assert kept != ComplexDefining(kept.theta, rigid=not kept.rigid)
     assert kept != defining("-wb + z*zb")
-    assert repr(fresh) == f"ComplexDefining(theta={fresh.theta!r}, rigid=True)"
+    assert repr(fresh) == f"ComplexDefining(theta={fresh.theta!r})"
     with pytest.raises(TypeError):
         hash(kept)
