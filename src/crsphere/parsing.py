@@ -12,12 +12,14 @@ Grammar (whitespace insignificant, no implicit multiplication)::
 descent over the tokens builds a ``TruncSeries`` over a declared variable
 list, every value known to the working order and held in the series'
 cleared form.  A term of numbers, ``i``, variable powers and one-term
-groups becomes one numerator entry with no series product: its key,
-numerator and denominator are multiplied as ints and checked against
-``MAX_COEFF_BITS`` where a running bound on their bits passes it.  Other
-factors go through the series' product; a sum is added into one map.
-Errors come in text order, each with its offset in the text: a character
-outside the grammar first, then each error where the descent meets it.
+groups becomes one monomial with no series: its key, numerator and
+denominator are multiplied as ints and checked against ``MAX_COEFF_BITS``
+where a running bound on their bits passes it.  Other factors go through
+the series' product.  A sum, parenthesised or the whole text, adds its
+terms straight into one numerator map over the lcm of their denominators,
+one series in all.  Errors come in text order, each with its offset in the
+text, found again from the text: a character outside the grammar first,
+then each error where the descent meets it.
 ``render_series`` produces canonical text that parses back to the same
 series (the round-trip property).
 """
@@ -27,10 +29,11 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from fractions import Fraction
+from math import gcd
 
 from .errors import ExprSyntaxError
 from .rational import GaussRat
-from .series import _BITS, TruncSeries, _combine, _dot, _key
+from .series import _BITS, TruncSeries, _added, _dot, _key, _space
 
 MAX_EXPONENT = 9999
 MAX_DEPTH = 100  # parenthesis nesting; keeps the descent off the recursion limit
@@ -42,21 +45,27 @@ MAX_COEFF_BITS = 4096
 MAX_LITERAL_DIGITS = len(str((1 << MAX_COEFF_BITS) - 1))
 _TOO_BIG = f"a coefficient of the input exceeds {MAX_COEFF_BITS} bits"
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S)")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^]|\S")
+# a token's kind by its first character: ``int``, ``name`` or the operator
+# character itself; ``isdecimal`` finds digits other than ASCII ones
+_KINDS = {c: c for c in "()+-*/^"} | dict.fromkeys("0123456789", "int")
+_KINDS |= {c: "name" for c in map(chr, range(65, 123)) if c.isalpha() or c == "_"}
 
 
-def _tokens(text: str) -> list:
-    """``(kind, value, pos)`` triples ending in an ``eof`` one; ``kind`` is
-    ``int``, ``name`` or the operator character itself."""
-    items = []
-    for m in _TOKEN.finditer(text):
-        value = m.group()
-        group = m.lastindex
-        if group == 4:
-            raise ExprSyntaxError(f"unexpected character {value!r}", m.start())
-        items.append(("int" if group == 1 else "name" if group == 2 else value, value, m.start()))
-    items.append(("eof", "", len(text)))
-    return items
+def _tokens(text: str) -> tuple:
+    """The kinds and the values of the tokens of ``text``, both lists ending
+    in an ``eof`` token; a token's offset is found again only for an error."""
+    values = _TOKEN.findall(text)
+    kinds = [_KINDS.get(v[0]) or ("int" if v.isdecimal() else None) for v in values]
+    if None in kinds:
+        n = kinds.index(None)
+        raise ExprSyntaxError(f"unexpected character {values[n]!r}", _offset(text, n))
+    return kinds + ["eof"], values + [""]
+
+
+def _offset(text: str, n: int) -> int:
+    """The offset of token ``n`` of ``text``, its length for the ``eof`` token."""
+    return [*(m.start() for m in _TOKEN.finditer(text)), len(text)][n]
 
 
 def _bounded(f: TruncSeries) -> TruncSeries:
@@ -82,41 +91,44 @@ class _Descent:
     """
 
     def __init__(self, text: str, vars: tuple, order: int):
-        self.tokens = _tokens(text)
-        self.zero = TruncSeries.zero(vars, order)  # validates the space and order
+        self.text = text
+        self.kinds, self.values = _tokens(text)
         self.i = 0
         self.depth = 0
-        self.vars = vars
+        self.vars = _space(vars, order)
         self.order = order
         self.top = order << _BITS * len(vars)  # the least key of degree ``order``
         self.units = {v: _key([int(u == v) for u in vars]) for v in vars}
 
     def constant(self, re: int, im: int, den: int) -> TruncSeries:
-        if not (re or im) or not self.order:
-            return self.zero
-        return TruncSeries._reduced(self.vars, self.order, den, {0: (re, im)})  # 0 keys the origin
+        num = {0: (re, im)} if (re or im) and self.order else {}  # 0 keys the origin
+        return TruncSeries._reduced(self.vars, self.order, den, num)
 
     def expr(self) -> TruncSeries:
-        tokens = self.tokens
-        negated = tokens[self.i][0] == "-"
-        if negated:
+        """A sum: every term's numerators added into one map over the lcm of
+        the terms' denominators, and that sum checked once."""
+        kinds = self.kinds
+        negated = kinds[self.i] == "-"
+        self.i += negated
+        terms = [(-1 if negated else 1, self.term())]  # each term a series or a monomial
+        while (kind := kinds[self.i]) == "+" or kind == "-":
             self.i += 1
-        parts = [(self.term(), -1 if negated else 1)]
-        while True:
-            kind = tokens[self.i][0]
-            if kind == "+" or kind == "-":
-                self.i += 1
-                parts.append((self.term(), -1 if kind == "-" else 1))
-            elif len(parts) == 1 and not negated:
-                return parts[0][0]
-            else:
-                return _bounded(_combine(parts))
+            terms.append((-1 if kind == "-" else 1, self.term()))
+        alone = len(terms) == 1 and not negated  # a term is checked as it is made
+        if alone and type(terms[0][1]) is TruncSeries:
+            return terms[0][1]
+        f = _added(self.vars, self.order, [
+            (sign, t._den, t._num.items()) if type(t) is TruncSeries else (sign, t[3], ((t[0], t[1:3]),))
+            for sign, t in terms if t
+        ])
+        return f if alone else _bounded(f)
 
-    def term(self) -> TruncSeries:
-        """A product.  Numbers, ``i``, variable powers and one-term groups such
-        as ``(1 - i)`` multiply one monomial, zero from the order on; it is
-        folded into ``value``, and the product checked, before any other
-        factor and when ``bound`` passes the limit."""
+    def term(self):
+        """A product: a series, or a monomial ``(key, re, im, den)`` in lowest
+        terms, ``()`` for zero.  Numbers, ``i``, variable powers and one-term
+        groups such as ``(1 - i)`` multiply one monomial, zero from the order
+        on; it is folded into ``value``, and the product checked, before any
+        other factor and when ``bound`` passes the limit."""
         value = None  # the product of the factors before the monomial; None for 1
         key, re, im, den, bound = 0, 1, 0, 1, 0
         while True:
@@ -134,31 +146,39 @@ class _Descent:
                 if type(f) is not tuple:
                     value = f if value is None else _bounded(_dot([(value, f, 1)], self.order))
                 key, re, im, den, bound = 0, 1, 0, 1, MAX_COEFF_BITS
-            if self.tokens[self.i][0] != "*":
-                return self.times(value, key, re, im, den)
+            if self.kinds[self.i] != "*":
+                if value is not None:
+                    return self.times(value, key, re, im, den)
+                g = gcd(den, re, im)
+                return (key, re // g, im // g, den // g) if re or im else ()
             self.i += 1
 
-    def times(self, value: TruncSeries | None, key: int, re: int, im: int, den: int):
+    def times(self, value: TruncSeries | None, key: int, re: int, im: int, den: int) -> TruncSeries:
         """``value`` (``None`` for 1) times the monomial ``(re + im*i)/den`` at ``key``."""
         if value is not None and (key, re, im) == (0, den, 0):
             return value
         mono = TruncSeries._reduced(self.vars, self.order, den, {key: (re, im)} if re or im else {})
         return mono if value is None else _dot([(value, mono, 1)], self.order)
 
+    def error(self, message: str, n: int) -> ExprSyntaxError:
+        """The syntax error ``message`` at token ``n``."""
+        return ExprSyntaxError(message, _offset(self.text, n))
+
     def factor(self):
         """A series, or a monomial factor ``(key, re, im, den, bits)``, where
         ``bits`` bounds how many bits it adds to a product."""
         base = self.base()
-        if self.tokens[self.i][0] != "^":
+        n = self.i + 1  # the exponent's token
+        if self.kinds[n - 1] != "^":
             return base
-        kind, value, pos = self.tokens[self.i + 1]
         self.i += 2
-        if kind != "int":
-            raise ExprSyntaxError("exponent must be an unsigned integer", pos)
+        if self.kinds[n] != "int":
+            raise self.error("exponent must be an unsigned integer", n)
+        value = self.values[n]
         exponent = _literal(value)
         if exponent is None or exponent > MAX_EXPONENT:
             shown = f"of {len(value.lstrip('0'))} digits" if exponent is None else exponent
-            raise ExprSyntaxError(f"exponent {shown} exceeds {MAX_EXPONENT}", pos)
+            raise self.error(f"exponent {shown} exceeds {MAX_EXPONENT}", n)
         if type(base) is tuple:
             if base[0]:  # a variable: zero once the power reaches the order
                 return (base[0] * exponent, 1, 0, 1, 0) if exponent < self.order else (0, 0, 0, 1, 0)
@@ -166,20 +186,21 @@ class _Descent:
         return self.power(base, exponent)
 
     def base(self):
-        kind, value, pos = self.tokens[self.i]
+        n = self.i
+        kind, value = self.kinds[n], self.values[n]
         self.i += 1
         if kind == "int":
             num, den = _literal(value), 1
             if num is None:
                 raise ValueError(_TOO_BIG)
-            if self.tokens[self.i][0] == "/":
-                kind, value, pos = self.tokens[self.i + 1]
-                self.i += 2
-                den = _literal(value) if kind == "int" else 0
+            if self.kinds[n + 1] == "/":
+                n += 2
+                self.i = n + 1
+                den = _literal(self.values[n]) if self.kinds[n] == "int" else 0
                 if den is None:
                     raise ValueError(_TOO_BIG)
                 if not den:
-                    raise ExprSyntaxError("denominator must be a positive integer", pos)
+                    raise self.error("denominator must be a positive integer", n)
             if (bits := max(num, den).bit_length()) > MAX_COEFF_BITS:  # checked once reduced
                 _bounded(self.constant(num, 0, den))
             return 0, num, 0, den, bits
@@ -187,20 +208,19 @@ class _Descent:
             if value == "i":
                 return 0, 0, 1, 1, 0
             if value not in self.vars:
-                raise ExprSyntaxError(f"undeclared variable {value!r}", pos)
+                raise self.error(f"undeclared variable {value!r}", n)
             return self.units[value], 1, 0, 1, 0
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:
-                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+                raise self.error(f"parentheses nested deeper than {MAX_DEPTH}", n)
             value = self.expr()
-            kind, _, pos = self.tokens[self.i]
             self.i += 1
-            if kind != ")":
-                raise ExprSyntaxError("expected ')'", pos)
+            if self.kinds[self.i - 1] != ")":
+                raise self.error("expected ')'", self.i - 1)
             self.depth -= 1
             return value
-        raise ExprSyntaxError("expected a number, variable, 'i' or '('", pos)
+        raise self.error("expected a number, variable, 'i' or '('", n)
 
     def power(self, base: TruncSeries, n: int) -> TruncSeries:
         """``base^n`` by repeated squaring, zero at once when its
@@ -208,7 +228,7 @@ class _Descent:
         if n == 0:
             return self.constant(1, 0, 1)
         if base.valuation() * n >= self.order:
-            return self.zero
+            return self.constant(0, 0, 1)
         result = None
         while True:
             if n & 1:
@@ -230,9 +250,8 @@ def parse_series(text: str, vars: Sequence[str], order: int) -> TruncSeries:
     """
     descent = _Descent(text, tuple(vars), order)
     value = descent.expr()
-    kind, rest, pos = descent.tokens[descent.i]
-    if kind != "eof":
-        raise ExprSyntaxError(f"unexpected {rest!r}", pos)
+    if descent.kinds[descent.i] != "eof":
+        raise descent.error(f"unexpected {descent.values[descent.i]!r}", descent.i)
     return value
 
 

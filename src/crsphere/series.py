@@ -29,18 +29,23 @@ graded-lex order, and adding two keys multiplies the monomials with no
 carry while the product's degree stays below ``K``.  The form is
 normalised so that ``_den`` and all numerators have gcd 1, and the zero
 series has ``_den == 1``; it is canonical, so ``==`` compares it
-directly.  The arithmetic works on ints and keys; only the remaps of
-the variable space (``reorder``, ``extend`` and ``substitute``'s
-grouping) decode and re-encode keys.  Exponent tuples and ``GaussRat``
-values are built only at the boundary: the constructor clears and
-encodes its input, and ``terms``, ``coeff``, ``constant_term``,
+directly.  The arithmetic works on ints and keys, the remaps of the
+variable space (``reorder``, ``extend`` and ``substitute``'s grouping)
+included: they move a key's digits by shift and mask.  Exponent tuples
+and ``GaussRat`` values are built only at the boundary: the constructor
+clears and encodes its input, and ``terms``, ``coeff``, ``constant_term``,
 ``lowest_term`` and ``sorted_terms`` build fresh values on each call.
 Every product goes through one kernel, ``_dot``, which adds a whole sum
-``k1 f1 g1 + k2 f2 g2 + ...`` into one accumulator.  Its convolution visits,
-for each left row of degree ``d``, only the right rows of degree below
-``K - d``; a one-term side shifts and scales the other.  The kernel's
-helpers are private: the benchmark's tracer wraps every public function of
-this module, and a span per helper call would change the spans it counts.
+``k1 f1 g1 + k2 f2 g2 + ...`` into one accumulator.  A series sorts its
+``(key, re, im)`` rows and their keys once, on its first use as an
+operand, and keeps them until it dies; ``_dot`` cuts them at the
+product's order with ``bisect``, and ``valuation`` and ``lowest_term``
+read the first of them.  Equality reads only the space, the order and the
+cleared form.  The convolution visits, for each left row of degree ``d``,
+only the right rows of degree below ``K - d``; a one-term side shifts and
+scales the other.  The kernel's helpers are private: the benchmark's
+tracer wraps every public function of this module, and a span per helper
+call would change the spans it counts.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from itertools import groupby, islice
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import ArityError, CompositionError, NonUnitError
+from .errors import ArityError, CompositionError
 from .rational import GaussRat, ONE, ZERO
 
 Mono = tuple  # exponent tuple, one slot per variable
@@ -75,12 +80,39 @@ def _mono(key: int, arity: int) -> Mono:
     return tuple([key >> place & _DIGIT for place in range(_BITS * (arity - 1), -1, -_BITS)])
 
 
-def _rows(num: dict, bound: int) -> list:
-    """The nonzero terms of ``num`` with keys below ``bound`` as
-    ``(key, re, im)`` rows in key order."""
-    rows = [(k, re, im) for k, (re, im) in num.items() if k < bound and (re or im)]
+def _space(vars: Iterable[str], order: int) -> tuple:
+    """``vars`` as a tuple of distinct names, with ``order`` checked to be a
+    known order of a series over them."""
+    vars = tuple(vars)
+    if len(set(vars)) != len(vars):
+        raise ArityError(f"duplicate variable names in {vars}")
+    if order < 0:
+        raise ValueError("known order must be nonnegative")
+    if order > MAX_ORDER:
+        raise ValueError(f"known order {order} exceeds the largest supported order {MAX_ORDER}")
+    return vars
+
+
+def _rows(num: dict) -> list:
+    """The nonzero terms of ``num`` as ``(key, re, im)`` rows in key order."""
+    rows = [(k, re, im) for k, (re, im) in num.items() if re or im]
     rows.sort(key=itemgetter(0))
     return rows
+
+
+def _remapped(keys: list, arity: int, target: int, slots: list) -> list:
+    """``keys`` over ``arity`` variables as keys over ``target`` ones: the
+    degree digit goes to the degree place and, for each ``(i, j)`` of
+    ``slots``, the exponent of slot ``i`` to slot ``j``.  Digits that shift
+    by one step move together, under one mask."""
+    masks: dict = {}
+    for at, to in [(arity, target), *((arity - 1 - i, target - 1 - j) for i, j in slots)]:
+        masks[_BITS * (to - at)] = masks.get(_BITS * (to - at), 0) | _DIGIT << _BITS * at
+    out = [0] * len(keys)
+    for step, mask in masks.items():
+        up, down = max(step, 0), max(-step, 0)
+        out = [o | (k & mask) << up >> down for o, k in zip(out, keys)]
+    return out
 
 
 def _nonzero(acc: dict) -> dict:
@@ -88,14 +120,14 @@ def _nonzero(acc: dict) -> dict:
     return {k: (re, im) for k, (re, im) in acc.items() if re or im}
 
 
-def _convolve(left: list, right: list, order: int, shift: int, acc: dict) -> dict:
+def _convolve(left: list, right: list, keys: list, order: int, shift: int, acc: dict) -> dict:
     """Add the Gaussian-integer product of two row lists below ``order``
     into ``acc``, ``{key: [re, im]}``, zeros included, and return it;
-    ``shift`` is the place of the degree digit.  Both lists are in key
-    order (left rows of one degree may come in any order): each left row
-    meets only the right prefix of degree below ``order`` minus its own.
+    ``keys`` are the right rows' keys and ``shift`` is the place of the
+    degree digit.  Both lists are in key order (left rows of one degree may
+    come in any order): each left row meets only the right prefix of degree
+    below ``order`` minus its own, so rows past ``order`` need no cut.
     """
-    keys = [row[0] for row in right]
     for k1, r1, i1 in left:
         n = bisect_left(keys, (order - (k1 >> shift)) << shift)
         if not n:
@@ -117,7 +149,8 @@ def _dot(parts: list, order: int) -> TruncSeries:
     Each part's factor (``k`` times its share of that lcm) scales its shorter
     side.  A side of one term ``(k1, r1 + i1 i)`` shifts the other side's
     keys below ``(order - deg k1) << shift`` by ``k1`` and scales them;
-    else the shorter side leads the convolution (``_convolve`` does not
+    else the side with fewer rows below ``order``, found by ``bisect`` in
+    the operands' kept rows, leads the convolution (``_convolve`` does not
     swap itself, as ``div`` gives it left rows of one degree in any order).
     Zeros are dropped and the content divided out once, at the end."""
     vars = parts[0][0].vars
@@ -142,10 +175,14 @@ def _dot(parts: list, order: int) -> TruncSeries:
                         slot[0] += r1 * re - i1 * im
                         slot[1] += r1 * im + i1 * re
         else:
-            left, right = sorted((_rows(f._num, bound), _rows(g._num, bound)), key=len)
+            left, lkeys = f._operand()
+            right, keys = g._operand()
+            n, m = bisect_left(lkeys, bound), bisect_left(keys, bound)
+            if m < n:
+                left, right, keys, n = right, left, lkeys, m
             if k != 1:
-                left = [(key, re * k, im * k) for key, re, im in left]
-            _convolve(left, right, order, shift, acc)
+                left = [(key, re * k, im * k) for key, re, im in islice(left, n)]
+            _convolve(left, right, keys, order, shift, acc)
     return TruncSeries._reduced(vars, order, den, _nonzero(acc))
 
 
@@ -155,22 +192,15 @@ def _over(c: GaussRat, den: int) -> tuple:
     return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
 
 
-def _combine(parts: list) -> TruncSeries:
-    """``sum(sign * f)`` over ``(f, sign)`` pairs of one space, over the lcm
-    of their denominators."""
-    first = parts[0][0]
-    for f, _ in parts[1:]:
-        first._check_space(f)
-    order = min(f.order for f, _ in parts)
-    bound = order << _BITS * len(first.vars)
-    den = lcm(*(f._den for f, _ in parts))
+def _added(vars: tuple, order: int, parts: list) -> TruncSeries:
+    """``sum(k * num/den)`` over ``(k, den, num)`` parts, ``num`` the
+    ``(key, (re, im))`` items of numerators below ``order``, added into one
+    map over the lcm of the denominators."""
+    den = lcm(*(d for _, d, _ in parts))
     acc: dict = {}
-    for f, sign in parts:
-        k = sign * (den // f._den)
-        items = f._num.items()
-        if f.order > order:
-            items = [(key, v) for key, v in items if key < bound]
-        for key, (re, im) in items:
+    for k, d, num in parts:
+        k *= den // d
+        for key, (re, im) in num:
             old = acc.get(key)
             if old is None:
                 acc[key] = (re * k, im * k)
@@ -181,23 +211,31 @@ def _combine(parts: list) -> TruncSeries:
                 acc[key] = (re, im)
             else:
                 del acc[key]
-    return TruncSeries._reduced(first.vars, order, den, acc)
+    return TruncSeries._reduced(vars, order, den, acc)
+
+
+def _combine(parts: list) -> TruncSeries:
+    """``sum(sign * f)`` over ``(f, sign)`` pairs of one space, to the least
+    of their orders."""
+    first = parts[0][0]
+    for f, _ in parts[1:]:
+        first._check_space(f)
+    order = min(f.order for f, _ in parts)
+    bound = order << _BITS * len(first.vars)
+    return _added(first.vars, order, [
+        (sign, f._den, f._num.items() if f.order == order else [kv for kv in f._num.items() if kv[0] < bound])
+        for f, sign in parts
+    ])
 
 
 class TruncSeries:
     """A truncated formal power series; immutable by convention."""
 
-    __slots__ = ("vars", "order", "_den", "_num")
+    __slots__ = ("vars", "order", "_den", "_num", "_sorted")
     __hash__ = None
 
     def __init__(self, vars: Iterable[str], terms: Mapping[Mono, GaussRat], order: int):
-        vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise ArityError(f"duplicate variable names in {vars}")
-        if order < 0:
-            raise ValueError("known order must be nonnegative")
-        if order > MAX_ORDER:
-            raise ValueError(f"known order {order} exceeds the largest supported order {MAX_ORDER}")
+        vars = _space(vars, order)
         kept = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
@@ -214,6 +252,7 @@ class TruncSeries:
         self.order = order
         self._den = den
         self._num = {key: _over(c, den) for key, c in kept.items()}
+        self._sorted = None
 
     # -- constructors ----------------------------------------------------
 
@@ -225,6 +264,7 @@ class TruncSeries:
         f.order = order
         f._den = den
         f._num = num
+        f._sorted = None
         return f
 
     @staticmethod
@@ -288,10 +328,22 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self._num
 
+    def _operand(self) -> tuple:
+        """The ``(key, re, im)`` rows of the terms in key order and their
+        keys, sorted on first use as an operand and kept until the series dies."""
+        if self._sorted is None:
+            rows = _rows(self._num)
+            self._sorted = rows, [row[0] for row in rows]
+        return self._sorted
+
+    def _lowest_key(self) -> int:
+        """The least key of a nonzero series: the first kept row, if any."""
+        return min(self._num) if self._sorted is None else self._sorted[1][0]
+
     def valuation(self) -> int:
         if not self._num:
             return self.order
-        return min(self._num) >> _BITS * len(self.vars)
+        return self._lowest_key() >> _BITS * len(self.vars)
 
     def coeff(self, mono: Mono) -> GaussRat:
         mono = tuple(mono)
@@ -307,7 +359,7 @@ class TruncSeries:
         """The (monomial, coefficient) pair minimal in graded-lex order."""
         if not self._num:
             return None
-        key = min(self._num)
+        key = self._lowest_key()
         return _mono(key, len(self.vars)), self._coeff(*self._num[key])
 
     def sorted_terms(self) -> list:
@@ -458,57 +510,53 @@ class TruncSeries:
                 raise CompositionError(f"image for {name!r} has a nonzero constant term")
             order = min(order, im.order)
         shift = _BITS * len(target)
-        bound = order << shift
-        subbed = []  # (source slot, denominator, image rows)
+        arity = len(self.vars)
+        subbed = []  # (source digit place, denominator, image rows and keys)
         passing = []  # (source slot, target slot) of each pass-through variable
         for i, v in enumerate(self.vars):
             if v in images:
                 im = images[v]
-                subbed.append((i, im._den, _rows(im._num, bound)))
+                subbed.append((_BITS * (arity - 1 - i), im._den, im._operand()))
             else:
                 if v not in target:
                     raise ArityError(f"variable {v!r} absent from target space {target}")
                 passing.append((i, target.index(v)))
-        # group the terms by their substituted exponents; pass-through
-        # exponents move straight into their target slots
+        # group the terms by their substituted exponents; the degree and the
+        # pass-through exponents move straight into their target places, and
+        # the substituted exponents leave the degree
+        below = [key for key in self._num if key < order << _BITS * arity]
         groups: dict = {}
-        arity = len(self.vars)
-        for key, pair in self._num.items():
-            if key >> _BITS * arity >= order:
-                continue
-            mono = _mono(key, arity)
-            out = [0] * len(target)
-            for i, j in passing:
-                out[j] = mono[i]
-            group = tuple(mono[i] for i, _, _ in subbed)
-            groups.setdefault(group, {})[_key(out)] = pair
+        for key, out in zip(below, _remapped(below, arity, len(target), passing)):
+            group = tuple([key >> place & _DIGIT for place, _, _ in subbed])
+            groups.setdefault(group, {})[out - (sum(group) << shift)] = self._num[key]
         # one denominator for every group: f's times each image's to its top power
         common = self._den
         for k, (_, den, _) in enumerate(subbed):
             common *= den ** max((group[k] for group in groups), default=0)
         acc: dict = {}
 
-        def expand(keys: list, level: int, product: list, den: int) -> None:
+        def expand(keys: list, level: int, product: tuple, den: int) -> None:
             # ``keys`` share their first ``level`` exponents, whose image
-            # powers multiply to the rows ``product`` over ``den``
+            # powers multiply to the rows and keys ``product`` over ``den``
             if level == len(subbed):
-                part = _rows(groups[keys[0]], bound)
+                part = _rows(groups[keys[0]])
                 scale = common // den
                 if scale != 1:
                     part = [(k, re * scale, im * scale) for k, re, im in part]
-                _convolve(part, product, order, shift, acc)
+                _convolve(part, *product, order, shift, acc)
                 return
             _, image_den, image = subbed[level]
             power = 0
             for e, sub in groupby(keys, itemgetter(level)):
                 while power < e:
-                    product = _rows(_convolve(product, image, order, shift, {}), bound)
+                    rows = _rows(_convolve(product[0], *image, order, shift, {}))
+                    product = rows, [row[0] for row in rows]
                     den *= image_den
                     power += 1
                 expand(list(sub), level + 1, product, den)
 
         if groups:
-            expand(sorted(groups), 0, [(0, 1, 0)], self._den)
+            expand(sorted(groups), 0, ([(0, 1, 0)], [0]), self._den)
         # the closure refers to itself: break that cycle, so the groups and
         # image products it holds are freed now, not at the next collection
         del expand
@@ -516,52 +564,9 @@ class TruncSeries:
 
     def div(self, g: TruncSeries) -> TruncSeries:
         """Divide by a unit series, degree by degree; exact to min(Kf, Kg)."""
-        self._check_space(g)
-        if 0 not in g._num:  # the origin's key
-            raise NonUnitError("divisor has zero constant term")
-        order = min(self.order, g.order)
-        cr, ci = g._num[0]
-        norm = cr * cr + ci * ci
-        shift = _BITS * len(self.vars)
-        bound = order << shift
-        # the origin's row comes first when there are any
-        gplus = _rows(g._num, bound)[1:]
-        # With f = F/Df and g = (c + G)/Dg, G the terms of positive degree,
-        # f/g = Dg/Df * q for q = F/(c + G).  Its degree-d part q_d is kept
-        # as the Gaussian integers N^(d+1) q_d, N = |c|^2, since dividing by
-        # c is multiplying by conj(c)/N; rest[d] holds N^d times the degree-d
-        # part of F minus every (G q_e)_d, e < d, found so far.
-        powers = [norm**k for k in range(order + 1)]
-        rest = [{} for _ in range(order)]
-        for key, (re, im) in self._num.items():
-            if key < bound:
-                d = key >> shift
-                rest[d][key] = (re * powers[d], im * powers[d])
-        quotient = []  # (d, rows of N^(d+1) q_d)
-        for d in range(order):
-            q = [
-                (key, re * cr + im * ci, im * cr - re * ci)
-                for key, (re, im) in rest[d].items()
-                if re or im
-            ]
-            if not q:
-                continue
-            quotient.append((d, q))
-            for key, (re, im) in _convolve(q, gplus, order, shift, {}).items():
-                e = key >> shift
-                s = powers[e - d - 1]
-                part = rest[e]
-                old = part.get(key, (0, 0))
-                part[key] = (old[0] - re * s, old[1] - im * s)
-        if not quotient:
-            return TruncSeries._make(self.vars, order, 1, {})
-        last = quotient[-1][0]
-        num = {}
-        for d, q in quotient:
-            s = powers[last - d] * g._den
-            for key, re, im in q:
-                num[key] = (re * s, im * s)
-        return TruncSeries._reduced(self.vars, order, self._den * powers[last + 1], num)
+        from .solve import _divided  # with the solvers: a ``check`` never divides
+
+        return _divided(self, g)
 
     # -- variable-space plumbing ----------------------------------------------
 
@@ -602,12 +607,6 @@ class TruncSeries:
 
     def _moved(self, new_vars: tuple) -> TruncSeries:
         """The series over ``new_vars``, each exponent moved to its variable's slot."""
-        pos = [new_vars.index(v) for v in self.vars]
-        arity = len(self.vars)
-        num = {}
-        for key, pair in self._num.items():
-            out = [0] * len(new_vars)
-            for j, e in zip(pos, _mono(key, arity)):
-                out[j] = e
-            num[_key(out)] = pair
-        return TruncSeries._make(new_vars, self.order, self._den, num)
+        slots = [(i, new_vars.index(v)) for i, v in enumerate(self.vars)]
+        keys = _remapped(list(self._num), len(self.vars), len(new_vars), slots)
+        return TruncSeries._make(new_vars, self.order, self._den, dict(zip(keys, self._num.values())))

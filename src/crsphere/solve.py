@@ -8,14 +8,18 @@ residual ``E(k, S)`` starts at degree ``d`` and its degree-``d`` part
 equals ``J (S - S_true)_d``, so a single exact linear solve per monomial
 restores exactness below ``d + 1``.  This is jet-level Newton iteration
 with deterministic cost, not a fixed-point loop.
+
+Division by a unit series, one more degree-by-degree solve, is here too:
+``TruncSeries.div`` calls ``_divided``.  The commands that divide load this
+module; ``check`` never divides, so its processes do not compile it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import InternalCheckError, NotSolvableError
-from .series import TruncSeries
+from .errors import InternalCheckError, NonUnitError, NotSolvableError
+from .series import _BITS, TruncSeries, _convolve
 
 
 def _invert_matrix(j: list) -> list:
@@ -88,3 +92,55 @@ def implicit_solve(
                 "implicit solve residual does not vanish to the requested order"
             )
     return sols
+
+
+def _divided(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+    """``TruncSeries.div``: ``f`` divided by the unit series ``g``, degree
+    by degree, exact to ``min(Kf, Kg)``."""
+    f._check_space(g)
+    if 0 not in g._num:  # the origin's key
+        raise NonUnitError("divisor has zero constant term")
+    order = min(f.order, g.order)
+    cr, ci = g._num[0]
+    norm = cr * cr + ci * ci
+    shift = _BITS * len(f.vars)
+    bound = order << shift
+    # the origin's row comes first
+    rows, keys = g._operand()
+    gplus, keys = rows[1:], keys[1:]
+    # With f = F/Df and g = (c + G)/Dg, G the terms of positive degree,
+    # f/g = Dg/Df * q for q = F/(c + G).  Its degree-d part q_d is kept
+    # as the Gaussian integers N^(d+1) q_d, N = |c|^2, since dividing by
+    # c is multiplying by conj(c)/N; rest[d] holds N^d times the degree-d
+    # part of F minus every (G q_e)_d, e < d, found so far.
+    powers = [norm**k for k in range(order + 1)]
+    rest = [{} for _ in range(order)]
+    for key, (re, im) in f._num.items():
+        if key < bound:
+            d = key >> shift
+            rest[d][key] = (re * powers[d], im * powers[d])
+    quotient = []  # (d, rows of N^(d+1) q_d)
+    for d in range(order):
+        q = [
+            (key, re * cr + im * ci, im * cr - re * ci)
+            for key, (re, im) in rest[d].items()
+            if re or im
+        ]
+        if not q:
+            continue
+        quotient.append((d, q))
+        for key, (re, im) in _convolve(q, gplus, keys, order, shift, {}).items():
+            e = key >> shift
+            s = powers[e - d - 1]
+            part = rest[e]
+            old = part.get(key, (0, 0))
+            part[key] = (old[0] - re * s, old[1] - im * s)
+    if not quotient:
+        return TruncSeries._make(f.vars, order, 1, {})
+    last = quotient[-1][0]
+    num = {}
+    for d, q in quotient:
+        s = powers[last - d] * g._den
+        for key, re, im in q:
+            num[key] = (re * s, im * s)
+    return TruncSeries._reduced(f.vars, order, f._den * powers[last + 1], num)

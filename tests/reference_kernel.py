@@ -7,6 +7,9 @@ former bodies of the parser's multi-term product, ``TruncSeries.__mul__``,
 ``TruncSeries.div`` and ``TruncSeries.substitute`` written over them.
 ``reference_dot`` is ``TruncSeries.dot`` as the sum, term by term in
 ``reference_sum``, of separately truncated and multiplied parts.
+``reference_moved`` is the remap behind ``reorder`` and ``extend`` as it
+was when each key was decoded into its exponents and encoded again;
+``reference_substitute`` groups the terms by decoded exponents the same way.
 They read and write the series through two adapters, ``_tuples`` and
 ``_reduced``, which translate between exponent tuples and the series'
 int keys with code of their own, so the reference shares no key code
@@ -115,6 +118,18 @@ def reference_sum(terms: list) -> TruncSeries:
 def reference_dot(parts: list, cap: int) -> TruncSeries:
     """``sum(k * f.truncate(cap) * g.truncate(cap))``, one product per part."""
     return reference_sum([(reference_mul(f.truncate(cap), g.truncate(cap)), k) for f, g, k in parts])
+
+
+def reference_moved(f: TruncSeries, new_vars: tuple) -> TruncSeries:
+    """``f`` over ``new_vars``, each exponent moved to its variable's slot."""
+    pos = [new_vars.index(v) for v in f.vars]
+    num = {}
+    for mono, pair in _tuples(f).items():
+        out = [0] * len(new_vars)
+        for j, e in zip(pos, mono):
+            out[j] = e
+        num[tuple(out)] = pair
+    return _reduced(new_vars, f.order, f._den, num)
 
 
 def reference_substitute(f: TruncSeries, images: Mapping[str, TruncSeries]) -> TruncSeries:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import crsphere.defining as dm
+from crsphere import series
 from crsphere.defining import (
     ComplexDefining,
     RealGraph,
@@ -23,7 +24,7 @@ from crsphere.selftest import run_self_test
 from crsphere.series import TruncSeries
 from crsphere.transfer import SolutionManifold
 
-from conftest import rigid_part
+from conftest import check_theta, rigid_part
 from random_inputs import random_hermitian_xi, random_real_graph
 
 
@@ -102,6 +103,19 @@ def test_reality_witness_is_kept_without_order(monkeypatch):
     first = verify_reality(d)
     assert verify_reality(d) == first and len(composed) == 1
     assert first == verify_reality(defining("-wb + i*z*zb", 6)) and len(composed) == 2
+
+
+def test_reality_of_a_check_theta_decodes_no_key(monkeypatch):
+    # ``theta_bar`` and the grouping of ``substitute`` move key digits; they
+    # decoded every key of Theta once each, about twice per term
+    rng = random.Random(5)
+    thetas = [parse_series(check_theta(rng, refute), THETA_VARS, 12) for refute in (False, True)]
+    decoded = []
+    mono = series._mono
+    monkeypatch.setattr(series, "_mono", lambda key, arity: decoded.append(key) or mono(key, arity))
+    for theta in thetas:
+        assert verify_reality(ComplexDefining.from_theta(theta)) is None
+    assert decoded == []
 
 
 def test_self_test_composes_each_fixture_once(monkeypatch):

@@ -267,6 +267,25 @@ def test_verdict_division_count(monkeypatch):
     assert len(calls) <= VERDICT_DIVISIONS
 
 
+def test_verdict_sorts_each_operand_once(monkeypatch):
+    # an operand's rows are sorted on its first use and kept; they were sorted
+    # again on every use: 74 sorts of 47 maps in the first verdict here
+    rng = random.Random(7)
+    thetas = [parse_series(check_theta(rng, refute), THETA_VARS, 12) for refute in (False, True)]
+    sorted_maps = []  # kept alive, so that no two share an id
+    rows = series._rows
+    monkeypatch.setattr(series, "_rows", lambda num: sorted_maps.append(num) or rows(num))
+    uses = []
+    operand = TruncSeries._operand
+    monkeypatch.setattr(TruncSeries, "_operand", lambda f: uses.append(1) or operand(f))
+    for theta in thetas:
+        sorted_maps.clear()
+        uses.clear()
+        sphericality_verdict(ComplexDefining.from_theta(theta))
+        assert len({id(num) for num in sorted_maps}) == len(sorted_maps)
+        assert len(uses) > len(sorted_maps)
+
+
 # operand term pairs (the two operands' term counts multiplied, summed over
 # the products) in one order-12 verdict on ``_image(12)``: 8,559 while every
 # operand was used at its full known order, 3,914 since each is cut to the

@@ -4,8 +4,9 @@
 its monomials were packed into graded keys.  Products, sums of products,
 divisions, substitutions and parsed products must equal its results, known
 order included, and stay normalised, on spaces of arity 0 to 5 and orders
-0 to 20.  The key format itself and the order ceiling it sets are tested
-last.
+0 to 20; the remaps of the variable space must equal its decoding ones on
+spaces of 2 to 5 variables, up to the order ceiling.  The key format
+itself and the order ceiling it sets are tested last.
 """
 
 import itertools
@@ -21,7 +22,8 @@ from crsphere.series import MAX_ORDER, TruncSeries, _key, _mono
 
 from conftest import VARS3, _assert_normalised, kernel_rats
 from reference_kernel import (
-    reference_div, reference_dot, reference_mul, reference_product, reference_substitute
+    reference_div, reference_dot, reference_moved, reference_mul, reference_product,
+    reference_substitute,
 )
 
 # arity 0 to 5; the last is the space ``solve_parameters`` works in
@@ -223,6 +225,85 @@ def substitutions(draw):
     {"a": parse_series("y - x*yx", ("x", "y", "yx"), 12), "b": parse_series("yx^2", ("x", "y", "yx"), 20)},
 ))
 def test_substitute_matches_reference_kernel(case):
+    f, images = case
+    _same(f.substitute(images), reference_substitute(f, images))
+
+
+# -- remaps of the variable space against the tuple-decoding reference -----------
+
+_WIDE = SPACES[2:]  # 2 to 5 variables
+
+
+@st.composite
+def wide_series(draw, vars, low=(), top=None):
+    """A series over ``vars`` known to 5, 12 or ``MAX_ORDER``, some of whose
+    terms put one variable at the order's top exponent: 127, the largest
+    digit a key holds, at ``MAX_ORDER``.  Exponents of the slots in ``low``
+    stay below ``top`` when it is given."""
+    order = draw(st.sampled_from((5, 12, MAX_ORDER)))
+    slot = st.integers(0, len(vars) - 1)
+    edges = st.builds(lambda i: tuple(order - 1 if j == i else 0 for j in range(len(vars))), slot)
+    monos = st.one_of(edges, st.tuples(*(st.integers(0, 3) for _ in vars)))
+    terms = draw(st.dictionaries(monos, kernel_rats, max_size=6))
+    if top is not None:
+        terms = {m: c for m, c in terms.items() if all(m[i] < top for i in low)}
+    return TruncSeries(vars, terms, order)
+
+
+@st.composite
+def remaps(draw):
+    """``(f, target)``: a series of 2 to 5 variables and a space holding them
+    in any order, perhaps beside new ones."""
+    vars = draw(st.sampled_from(_WIDE))
+    extra = draw(st.lists(st.sampled_from(("s", "t")), unique=True))
+    return draw(wide_series(vars)), tuple(draw(st.permutations(list(vars) + extra)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(remaps())
+@example((TruncSeries(_XYAB, {(0, 0, 0, 127, 0): ONE, (1, 2, 0, 0, 3): ONE}, MAX_ORDER),
+          ("b", "s", "yx", "a", "y", "x")))
+def test_reorder_and_extend_match_the_decoding_remap(case):
+    f, target = case
+    _same(f.extend(target), reference_moved(f, target))
+    perm = tuple(v for v in target if v in f.vars)
+    _same(f.reorder(perm), reference_moved(f, perm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_WIDE).flatmap(lambda vars: st.tuples(wide_series(vars), st.permutations(vars))))
+def test_relabelled_conjugate_reordered_matches_the_decoding_remap(case):
+    # as ``theta_bar``: rename the slots by a permutation, then put them back
+    f, names = case
+    relabel = dict(zip(f.vars, names))
+    conj = f.conjugate(relabel)
+    _same(conj.reorder(f.vars), reference_moved(conj, f.vars))
+
+
+@st.composite
+def passing_substitutions(draw):
+    """``(f, images)`` over 2 to 5 variables: some pass through, exponent 127
+    included, into a target that may reuse a substituted name; the others
+    keep small exponents and get images of degree 1 to 3."""
+    source = draw(st.sampled_from(_WIDE))
+    names = draw(st.lists(st.sampled_from(source), min_size=1, max_size=len(source) - 1, unique=True))
+    subbed = [source.index(v) for v in names]
+    f = draw(wide_series(source, low=subbed, top=4))
+    passing = [v for v in source if v not in names]
+    extra = draw(st.lists(st.sampled_from(names + ["s"]), unique=True))
+    target = tuple(draw(st.permutations(passing + extra)))
+    order = draw(st.sampled_from((f.order, MAX_ORDER)))
+    terms = st.dictionaries(monos(len(target), 3, low=1), kernel_rats, max_size=3)
+    return f, {v: TruncSeries(target, draw(terms), order) for v in names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(passing_substitutions())
+@example((
+    TruncSeries(VARS3, {(127, 0, 0): ONE, (0, 120, 2): GaussRat.of(3), (1, 0, 3): ONE}, MAX_ORDER),
+    {"wb": parse_series("zb + z*wb", VARS3, MAX_ORDER)},
+))
+def test_substitute_with_pass_through_matches_the_decoding_grouping(case):
     f, images = case
     _same(f.substitute(images), reference_substitute(f, images))
 

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_parser
@@ -413,3 +413,106 @@ def test_parsing_a_check_theta_multiplies_no_series(monkeypatch):
     # a product of two multi-term groups is the one the hook sees
     parse_series("(1 + z)*(1 - zb)", VARS, 12)
     assert len(products) == 1
+
+
+def test_parsing_a_check_theta_builds_one_series_per_sum(monkeypatch):
+    # each group's sum and the whole text are one series each: 18 for the
+    # first text here, 86 while every term was a series of its own
+    rng = random.Random(5)
+    texts = [check_theta(rng, refute) for refute in (False, True, True)]
+    built = []
+    make = TruncSeries._make
+    init = TruncSeries.__init__
+    monkeypatch.setattr(TruncSeries, "_make", staticmethod(lambda *a: built.append(1) or make(*a)))
+    monkeypatch.setattr(TruncSeries, "__init__", lambda f, *a: built.append(1) or init(f, *a))
+    for text in texts:
+        built.clear()
+        parse_series(text, VARS, 12)
+        assert len(built) <= text.count("(") + 1
+
+
+# -- sums into one numerator map against the reference parser ----------------------
+
+# sums whose total passes MAX_COEFF_BITS while every term stays below it: a
+# numerator of 4097 bits, and a denominator 3^1400 * 5^1000 of 4541 bits
+_OVER = ("2^4095*{v} + 2^4095*{v}", "-(1/3)^1400*{v} - (1/5)^1000*{v}^2")
+# syntax errors in place of a term, each given a declared variable
+_TERM_ERRORS = ("{v} )", "{v}^", "1/0*{v}", "$", "2 {v}", "{v}^10000", "*{v}", "({v}", "{v}/2")
+
+
+@st.composite
+def _sum_texts(draw):
+    """``(text, vars, order)``: a sum of monomials drawn from a small pool,
+    so that monomials repeat, over mixed denominators, some at or above the
+    order and some cancelled by an equal term written another way, with a
+    negated head and nested groups; or that sum with one term passing
+    ``MAX_COEFF_BITS``, or with two syntax errors in place of terms."""
+    vars_ = draw(st.sampled_from(_SPACES))
+    order = draw(st.integers(0, 10))
+    pool = draw(st.lists(st.tuples(*(st.integers(0, 2) for _ in vars_)), min_size=1, max_size=4))
+    coeffs = st.tuples(st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9)), st.booleans())
+
+    def monomial(draw_coeff):
+        p, q, imaginary = draw_coeff
+        mono = draw(st.sampled_from(pool))
+        factors = [f"{abs(p)}/{q}", *(["i"] if imaginary else [])]
+        factors += [f"{v}^{e}" for v, e in zip(vars_, mono) if e]
+        return p < 0, "*".join(factors), (p, q, imaginary, mono)
+
+    def chain(depth):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            if depth < 2 and draw(st.integers(0, 4)) == 0:
+                inner = chain(depth + 1)
+                power = draw(st.sampled_from(("", "", "^2")))
+                terms.append((draw(st.booleans()), f"{monomial(draw(coeffs))[1]}*({inner}){power}"))
+                continue
+            negative, text, (p, q, imaginary, mono) = monomial(draw(coeffs))
+            terms.append((negative, text))
+            if draw(st.integers(0, 5)) == 0:  # the same value written with 2p/2q, negated
+                again = [f"{2 * abs(p)}/{2 * q}", *(["i"] if imaginary else [])]
+                again += [f"{v}^{e}" for v, e in zip(vars_, mono) if e]
+                terms.append((not negative, "*".join(again)))
+        return "".join(
+            (("-" if negative else "") if n == 0 else (" - " if negative else " + ")) + text
+            for n, (negative, text) in enumerate(terms)
+        )
+
+    text = chain(0)
+    kind = draw(st.sampled_from(("sum", "sum", "over", "errors")))
+    if kind == "sum":
+        return text, vars_, order
+    # new terms go after the head, which may be negated
+    v = draw(st.sampled_from(vars_))
+    parts = text.split(" + ")
+    if kind == "over":
+        parts.insert(draw(st.integers(1, len(parts))), f"({draw(st.sampled_from(_OVER)).format(v=v)})")
+        return " + ".join(parts), vars_, max(order, 2)
+    for _ in range(2):
+        parts.insert(draw(st.integers(1, len(parts))), draw(st.sampled_from(_TERM_ERRORS)).format(v=v))
+    return " + ".join(parts), vars_, order
+
+
+def _exact_outcome(parse, text, vars_, order):
+    try:
+        f = parse(text, vars_, order)
+    except ExprSyntaxError as exc:
+        return type(exc), str(exc), exc.pos
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return f.vars, f.order, f._den, f._num
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sum_texts())
+@example(("-1/2*z + 1/3*z - 3/6*zb^2 + 1/6*z + 2/4*zb^2 + z^12", VARS, 10))
+@example(("-z*(1/2*zb - 3/4*(i*z - 1/9*z))^2 + 1/9*wb", VARS, 4))
+@example((f"z + ({_OVER[0].format(v='zb')})", VARS, 6))
+@example((f"z + ({_OVER[1].format(v='zb')})", VARS, 6))
+@example(("z + $ + zb )", VARS, 6))
+@example(("z^ + 1/0*zb", VARS, 6))
+def test_sums_match_the_reference_parser_byte_for_byte(case):
+    # values, and each error's class, message and offset
+    text, vars_, order = case
+    got = _exact_outcome(parse_series, text, vars_, order)
+    assert got == _exact_outcome(reference_parser.parse_series, text, vars_, order)

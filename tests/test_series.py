@@ -324,6 +324,21 @@ def test_terms_is_a_fresh_copy():
     assert f == s("1/3*z - 2/5*i*zb^2 + wb")
 
 
+@given(series3(), series3())
+def test_kept_rows_give_the_lowest_term_and_change_no_equality(f, g):
+    # ``valuation`` and ``lowest_term`` read the first kept row once a product
+    # has sorted a series' rows, and ``min`` of its keys before
+    fresh = TruncSeries._make(f.vars, f.order, f._den, dict(f._num))
+    f * g
+    assert f._sorted is not None or len(f._num) < 2 or len(g._num) < 2
+    f._operand()
+    assert f.valuation() == fresh.valuation()
+    assert f.lowest_term() == fresh.lowest_term()
+    assert f == fresh and not f != fresh
+    with pytest.raises(TypeError):
+        hash(f)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.data())
 def test_multiply_then_divide_round_trip(order, data):
