@@ -21,6 +21,13 @@ stages, each with its report: reality, then Levi form, ``aj4`` and
 same stages on ``-wb + Xi``: the seven-term formula is the route of
 ``self-test`` and the tests, not of a verdict.
 
+The closed formula is a quadratic form in ``(Theta_zb, Theta_wb)``, its
+coefficients sums of jets times three determinants (``_aj4_direct``).
+Each factor is formed after the series it multiplies and only below the
+degree those products read.  No term and no known order differs from
+forming every factor to one order, and a Theta linear in ``wb``, whose
+``Theta_zb^2`` coefficient vanishes, never forms that square.
+
 The verdict makes no division.  On the solution manifold ``y = Q = Theta``
 write ``L0[T] = Q_a T_b - Q_b T_a``, so that the transferred operator is
 ``L = L0/delta``, and ``l = L0[delta]``.  ``L0`` is a derivation, so
@@ -97,17 +104,29 @@ def ode_invariants(m: SolutionManifold, order: int) -> InvariantPair:
 
 def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     """The numerator ``N = delta^3 aj4`` of the fourth-order closed formula,
-    transcribed in Theta-partials.
+    transcribed in Theta-partials as a quadratic form in ``(t_zb, t_wb)``::
 
-    ``N`` is ``delta = t_zb t_zwb - t_wb t_zzb`` times the fourth-order
-    ``t_zz..`` jets, plus the third-order terms, factored through the two
-    contractions ``py`` and ``px`` of the shared squares of ``t_zb``, ``t_wb``
-    with the second-order jets.  They are written out here, not read from
-    the solution manifold, so the ``aj4`` cross-check compares two
-    independent transcriptions.  Each sum of products is one ``dot``, every
-    operand cut to the known order of the fourth-order jets: with
-    ``delta(0) != 0``, ``t_zb`` or ``t_wb`` has a constant term, and ``N``
-    keeps exactly that order.
+        N   = t_zb^2 c1 - 2 t_zb t_wb c2 + t_wb^2 c3
+        c_i = J_i1 a1 - J_i2 a2 + J_i3 delta
+
+    with ``a1 = t_zzzb t_wb - t_zzwb t_zb``, ``a2 = t_zzzb t_zwb - t_zzwb
+    t_zzb``, ``delta = t_zb t_zwb - t_wb t_zzb`` and the jet rows ``J_1 =
+    (t_zwbwb, t_wbwb, t_zzwbwb)``, ``J_2 = (t_zzbwb, t_zbwb, t_zzzbwb)`` and
+    ``J_3 = (t_zzbzb, t_zbzb, t_zzzbzb)``.  It is written out here, not read
+    from the solution manifold, so the ``aj4`` cross-check compares two
+    independent transcriptions.
+
+    Each sum of products is one ``dot`` below the known order ``K`` of the
+    fourth-order jets.  Each factor is formed after the series it
+    multiplies, its partners, and cut to ``K`` less their least valuation:
+    ``a1``, ``a2`` and ``delta`` by the columns of ``J``, each square by its
+    ``c_i``.  A product below ``K`` reads no term of the factor past that
+    cut, so no term changes.  No known order changes either: a factor is
+    known at least to its cut, so each of its products at least to ``K``;
+    and with ``delta(0) != 0``, ``delta`` and one of the squares have
+    valuation 0, so each ``c_i``, and ``N``, is known exactly to ``K``, as
+    with every operand cut to ``K``.  For a Theta linear in ``wb``,
+    ``c1 = 0`` and ``t_zb^2`` is cut to nothing.
     """
     t = theta
     t_z = t.derive("z")
@@ -125,22 +144,27 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     t_zzbwb = t_zzb.derive("wb")
     t_zwbwb = t_zwb.derive("wb")
     t_zzzbzb = t_zzzb.derive("zb")
+    t_zzzbwb = t_zzzb.derive("wb")
+    t_zzwbwb = t_zzwb.derive("wb")
     order = t_zzzbzb.order
 
-    def dot(*parts):
-        return TruncSeries.dot(parts, order)
+    def cut(*partners):
+        # the terms of a factor that its products with ``partners`` read
+        return order - min(order, *(p.valuation() for p in partners))
 
-    zb2 = dot((t_zb, t_zb, 1))
-    wb2 = dot((t_wb, t_wb, 1))
-    zbwb = dot((t_zb, t_wb, 1))  # enters each sum with weight -2
-    delta = dot((t_zb, t_zwb, 1), (t_wb, t_zzb, -1))
-    py = dot((zb2, t_zwbwb, 1), (zbwb, t_zzbwb, -2), (wb2, t_zzbzb, 1))
-    px = dot((zb2, t_wbwb, 1), (zbwb, t_zbwb, -2), (wb2, t_zbzb, 1))
-    fourth = dot((t_zzzbzb, wb2, 1), (t_zzzb.derive("wb"), zbwb, -2), (t_zzwb.derive("wb"), zb2, 1))
+    def dot(*parts, cap=order):
+        return TruncSeries.dot(parts, cap)
+
+    a1 = dot((t_zzzb, t_wb, 1), (t_zzwb, t_zb, -1), cap=cut(t_zwbwb, t_zzbwb, t_zzbzb))
+    a2 = dot((t_zzzb, t_zwb, 1), (t_zzwb, t_zzb, -1), cap=cut(t_wbwb, t_zbwb, t_zbzb))
+    delta = dot((t_zb, t_zwb, 1), (t_wb, t_zzb, -1), cap=cut(t_zzwbwb, t_zzzbwb, t_zzzbzb))
+    c1 = dot((t_zwbwb, a1, 1), (t_wbwb, a2, -1), (t_zzwbwb, delta, 1))
+    c2 = dot((t_zzbwb, a1, 1), (t_zbwb, a2, -1), (t_zzzbwb, delta, 1))
+    c3 = dot((t_zzbzb, a1, 1), (t_zbzb, a2, -1), (t_zzzbzb, delta, 1))
     return dot(
-        (delta, fourth, 1),
-        (py, dot((t_zzzb, t_wb, 1), (t_zzwb, t_zb, -1)), 1),
-        (px, dot((t_zzzb, t_zwb, 1), (t_zzwb, t_zzb, -1)), -1),
+        (dot((t_zb, t_zb, 1), cap=cut(c1)), c1, 1),
+        (dot((t_zb, t_wb, 1), cap=cut(c2)), c2, -2),
+        (dot((t_wb, t_wb, 1), cap=cut(c3)), c3, 1),
     )
 
 

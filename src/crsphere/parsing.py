@@ -45,9 +45,11 @@ MAX_COEFF_BITS = 4096
 MAX_LITERAL_DIGITS = len(str((1 << MAX_COEFF_BITS) - 1))
 _TOO_BIG = f"a coefficient of the input exceeds {MAX_COEFF_BITS} bits"
 
-_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^]|\S")
+# ASCII digits only: any other character, a non-ASCII digit too, is a token
+# of one character with no kind
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^]|\S")
 # a token's kind by its first character: ``int``, ``name`` or the operator
-# character itself; ``isdecimal`` finds digits other than ASCII ones
+# character itself
 _KINDS = {c: c for c in "()+-*/^"} | dict.fromkeys("0123456789", "int")
 _KINDS |= {c: "name" for c in map(chr, range(65, 123)) if c.isalpha() or c == "_"}
 
@@ -56,7 +58,7 @@ def _tokens(text: str) -> tuple:
     """The kinds and the values of the tokens of ``text``, both lists ending
     in an ``eof`` token; a token's offset is found again only for an error."""
     values = _TOKEN.findall(text)
-    kinds = [_KINDS.get(v[0]) or ("int" if v.isdecimal() else None) for v in values]
+    kinds = [_KINDS.get(v[0]) for v in values]
     if None in kinds:
         n = kinds.index(None)
         raise ExprSyntaxError(f"unexpected character {values[n]!r}", _offset(text, n))

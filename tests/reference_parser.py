@@ -17,7 +17,7 @@ from crsphere.parsing import MAX_COEFF_BITS, MAX_DEPTH, MAX_EXPONENT
 from crsphere.rational import GaussRat
 from crsphere.series import TruncSeries
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])")
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])")
 
 
 # -- AST ---------------------------------------------------------------------

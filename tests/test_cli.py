@@ -593,6 +593,15 @@ def test_argument_error_is_one_error_report(argv, message):
     assert proc.stderr == ""
 
 
+def test_non_ascii_digit_is_an_error_report_with_its_offset():
+    proc = run_cli(["check", "--theta=-wb + \u0663*z*zb", "--order", "8"], timeout=30)
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)  # exactly one document
+    assert out["verdict"] == "error"
+    assert out["message"] == "unexpected character '\u0663' (at position 6)"
+    assert proc.stderr == ""
+
+
 def test_undeclared_variable_reports_its_offset(capsys):
     # the offset of ``q``; errors come in text order, so the missing ')' after
     # it is not the one reported

@@ -1,6 +1,8 @@
 """Tresse invariants, the fourth- and sixth-order obstructions, the rigid
 formula, duality cross-checks and the verdict pipeline."""
 
+import ast
+import inspect
 import itertools
 import random
 
@@ -26,7 +28,12 @@ from crsphere.transfer import SolutionManifold, dual_manifold
 from conftest import check_theta, gauss_rats
 from random_inputs import random_hermitian_xi
 from reference_invariants import (
-    aj4, reference_aj4, reference_aj6, reference_cleared_chain, reference_rigid_invariant
+    aj4,
+    reference_aj4,
+    reference_aj6,
+    reference_cleared_chain,
+    reference_direct_numerator,
+    reference_rigid_invariant,
 )
 
 ODE_VARS = ("x", "y", "yx")
@@ -290,8 +297,9 @@ def test_verdict_sorts_each_operand_once(monkeypatch):
 # the products) in one order-12 verdict on ``_image(12)``: 8,559 while every
 # operand was used at its full known order, 3,914 since each is cut to the
 # order its product keeps; 3,858 counting, as the kernel reads them, only the
-# terms below the order of the sum each product is part of
-VERDICT_MULTIPLY_PAIRS = 3914
+# terms below the order of the sum each product is part of; 3,408 since the
+# closed formula forms each factor only below what its partners read
+VERDICT_MULTIPLY_PAIRS = 3408
 
 
 def _terms_below(f, order):
@@ -306,6 +314,118 @@ def test_verdict_multiply_pairs(monkeypatch):
     report = sphericality_verdict(d)
     assert report.verdict == "spherical-to-order"
     assert sum(pairs) <= VERDICT_MULTIPLY_PAIRS
+
+
+# the same pairs in the closed formula alone on a seeded refute Theta, which is
+# linear in ``wb``: 6,926 while it formed ``t_zb^2``, whose ``c1`` is zero there,
+# and every factor to the order of the fourth-order jets
+CLOSED_FORMULA_PAIRS = 3335
+
+
+def test_closed_formula_multiply_pairs(monkeypatch):
+    theta = parse_series(check_theta(random.Random(7), True, 12), THETA_VARS, 12)
+    assert theta.derive("wb").derive("wb").is_zero()
+    pairs = _count_products(
+        monkeypatch, lambda f, g, order: _terms_below(f, order) * _terms_below(g, order)
+    )
+    inv._aj4_direct(theta)
+    assert sum(pairs) <= CLOSED_FORMULA_PAIRS
+
+
+def _dense_theta(order):
+    dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), order)
+    return to_complex_defining(RealGraph(dense_phi), order).theta
+
+
+def _recompiled(tree):
+    """The ``_aj4_direct`` of a module ``tree``, compiled in memory in a
+    copy of the namespace of ``invariants``."""
+    namespace = dict(vars(inv))
+    exec(compile(tree, inv.__file__, "exec"), namespace)
+    return namespace["_aj4_direct"]
+
+
+def _direct_tree():
+    """The syntax tree of ``_aj4_direct``, with the line numbers of its file."""
+    lines, start = inspect.getsourcelines(inv._aj4_direct)
+    return ast.increment_lineno(ast.parse("".join(lines)), start - 1)
+
+
+def _closed_formula_mutants():
+    """``(line, factor, function)``: ``_aj4_direct`` with one integer factor
+    of a ``dot`` part, a ``(f, g, k)`` tuple, changed by -1 and by +1."""
+    tree = _direct_tree()
+    parts = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3
+        and isinstance(node.elts[2], (ast.Constant, ast.UnaryOp))
+    ]
+    for part in parts:
+        factor = part.elts[2]
+        k = ast.literal_eval(factor)
+        for step in (-1, 1):
+            part.elts[2] = ast.copy_location(ast.Constant(k + step), factor)
+            yield part.lineno, k + step, _recompiled(tree)
+        part.elts[2] = factor
+
+
+# mutants of the closed formula: two for each of the 21 integer factors of its
+# ``dot`` parts
+CLOSED_FORMULA_MUTANTS = 42
+
+
+def test_each_closed_formula_factor_mutant_fails_the_cross_check(monkeypatch):
+    # the dense Theta is not linear in ``wb``, so it reaches every term
+    theta = _dense_theta(12)
+    assert _recompiled(_direct_tree())(theta) == inv._aj4_direct(theta)
+    mutants = list(_closed_formula_mutants())
+    assert len(mutants) == CLOSED_FORMULA_MUTANTS
+    survivors = []
+    for line, k, mutant in mutants:
+        monkeypatch.setattr(inv, "_aj4_direct", mutant)
+        try:
+            sphericality_verdict(ComplexDefining.from_theta(theta))
+        except InternalCheckError:
+            continue
+        survivors.append((line, k))
+    assert survivors == []
+
+
+# -- the closed formula against the shared-squares grouping, known orders ---------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gauss_rats.filter(lambda c: not c.is_zero()),
+    gauss_rats.filter(lambda c: not c.is_zero()),
+    st.dictionaries(st.sampled_from(_MONOS_THETA), gauss_rats, max_size=5),
+    st.integers(5, 12),
+)
+def test_quadratic_form_matches_shared_squares_on_random_theta(levi, wb2, extra, order):
+    # a ``wb^2`` term, so that ``c1`` need not vanish; seeded Theta, all linear
+    # in ``wb``, and the dense one are compared in
+    # ``test_cleared_recursion_matches_its_product_bodies``
+    terms = {**extra, (0, 0, 1): GaussRat.of(-1), (1, 1, 0): levi, (0, 0, 2): wb2}
+    theta = TruncSeries(THETA_VARS, terms, order)
+    # ``==`` compares the terms and the known order
+    assert inv._aj4_direct(theta) == reference_direct_numerator(theta)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    gauss_rats.filter(lambda c: not c.is_zero()),
+    st.dictionaries(st.sampled_from(_MONOS_THETA), gauss_rats, max_size=5),
+    st.integers(3, 10),
+)
+def test_known_order_is_honest_across_working_orders(levi, extra, order):
+    # the obstructions at order K are those at K + 4, cut to the lower known order
+    terms = {**extra, (0, 0, 1): GaussRat.of(-1), (1, 1, 0): levi}
+    high = TruncSeries(THETA_VARS, terms, order + 4)
+    low, deep = ComplexDefining.from_theta(high.truncate(order)), ComplexDefining.from_theta(high)
+    for obstruction in (inv.aj4_numerator, aj6):
+        a, b = obstruction(low), obstruction(deep)
+        assert a.order <= b.order
+        assert b.truncate(a.order) == a
 
 
 # -- the division-free obstructions against the division-based reference ------------
@@ -339,8 +459,7 @@ def test_obstructions_match_reference_on_check_inputs():
 
 def test_obstructions_match_reference_on_images_and_dense_theta():
     for order in (12, 16):
-        dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), order)
-        _assert_matches_reference(to_complex_defining(RealGraph(dense_phi), order).theta)
+        _assert_matches_reference(_dense_theta(order))
     for h in corpus_biholos(12):
         _assert_matches_reference(transform_defining(heisenberg(12), h, 12).theta)
     _assert_matches_reference(heisenberg(12).theta)
@@ -361,8 +480,7 @@ def test_cleared_recursion_matches_its_product_bodies():
     for h in corpus_biholos(12):
         _assert_matches_product_bodies(transform_defining(heisenberg(12), h, 12).theta)
     for order in (12, 16):
-        dense_phi = parse_series("x^2 + y^2 + x^2*y*v + v^2*x^2", ("x", "y", "v"), order)
-        _assert_matches_product_bodies(to_complex_defining(RealGraph(dense_phi), order).theta)
+        _assert_matches_product_bodies(_dense_theta(order))
     rng = random.Random(23)
     for k in range(30):
         _assert_matches_product_bodies(parse_series(check_theta(rng, refute=k % 3 != 0), THETA_VARS, 12))

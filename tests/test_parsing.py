@@ -63,6 +63,18 @@ def test_syntax_error_carries_position():
     assert err.value.pos == 4
 
 
+def test_non_ascii_digits_are_unexpected_characters():
+    # ``\d`` and ``isdecimal`` also take Arabic-Indic and other decimal
+    # digits; the grammar's ``uint`` is ASCII only
+    with pytest.raises(ExprSyntaxError, match=r"^unexpected character '\u0663' \(at position 6\)$"):
+        parse_series("-wb + \u0663*z*zb", VARS, 6)
+    with pytest.raises(ExprSyntaxError, match=r"^unexpected character '\u0662' \(at position 2\)$"):
+        parse_series("z^\u0662", VARS, 6)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_series("z*zb + 1\uff12*wb", VARS, 6)  # a fullwidth 2 after an ASCII 1
+    assert err.value.pos == 8
+
+
 def test_undeclared_variable():
     with pytest.raises(ExprSyntaxError) as err:
         parse_series("z + q", VARS, 10)
