@@ -63,10 +63,7 @@ class JobConfig:
         if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}")
         raw = os.environ.get("CRS_MAX_ORDER", str(DEFAULT_ORDER_CAP))
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"CRS_MAX_ORDER={raw!r} is not an integer") from None
+        cap = _order(raw, f"CRS_MAX_ORDER={raw!r} is not an integer")
         minimum = COMMANDS[command].min_order
         if order > cap:
             if cap < minimum:
@@ -80,9 +77,19 @@ class JobConfig:
         self.command, self.text, self.order, self.timings = command, text, order, timings
 
 
+def _order(text: str, message: str) -> int:
+    """``text`` as an order, ASCII digits ``[0-9]+`` only, else
+    ``ValueError(message)``: ``int`` would also take a sign, spaces, ``_``
+    and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(message)
+    return int(text)
+
+
 def _read_job_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # ``utf-8-sig``: a leading byte-order mark is not part of the first key
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -284,9 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
     shared.add_argument("--input", help="job file of 'key = value' lines")
     shared.add_argument("--vars", help="comma-separated variable names")
-    shared.add_argument("--order", type=int, help=f"truncation order (default {DEFAULT_ORDER})")
+    shared.add_argument("--order", help=f"truncation order (default {DEFAULT_ORDER})")
     shared.add_argument("--output", help="write the report to this path (atomically)")
-    shared.add_argument("--json", action="store_true", help="compact JSON output (default)")
     shared.add_argument("--pretty", action="store_true", help="indented JSON output")
     shared.add_argument(
         "--timings",
@@ -312,14 +318,10 @@ def _config_from_args(args) -> JobConfig:
     if args.input:
         values = _read_job_file(args.input)
     if args.order is not None:
-        order = args.order
+        order = _order(args.order, f"argument --order: invalid int value: {args.order!r}")
     elif "order" in values:
-        try:
-            order = int(values["order"])
-        except ValueError:
-            raise ValueError(
-                f"{args.input}: order = {values['order']!r} is not an integer"
-            ) from None
+        raw = values["order"]
+        order = _order(raw, f"{args.input}: order = {raw!r} is not an integer")
     else:
         order = DEFAULT_ORDER
     key = COMMANDS[args.command].option

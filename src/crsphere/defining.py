@@ -4,8 +4,9 @@
 complexification of the conjugated coordinates); nothing here ever
 auto-conjugates them.  The variable naming is normative throughout the
 package: a defining function lives in the space ``(z, zb, wb)``, a real
-graphing function in ``(x, y, v)``, a holomorphic map in ``(z, w)`` and a
-rigid part in ``(z, zb)``; the tuples below are the one home of each name.
+graphing function in ``(x, y, v)``, a holomorphic map in ``(z, w)``, a
+rigid part in ``(z, zb)`` and the reality identity in ``(z, zb, w)``; the
+tuples below are the one home of each name.
 
 The reality check composes the defining function with its coefficient-
 conjugate; the Levi form is the determinant
@@ -31,6 +32,7 @@ from .series import TruncSeries
 from .transfer import SolutionManifold
 
 THETA_VARS = ("z", "zb", "wb")
+REALITY_VARS = ("z", "zb", "w")  # the composed reality identity
 GRAPH_VARS = ("x", "y", "v")
 MAP_VARS = ("z", "w")
 XI_VARS = ("z", "zb")
@@ -86,7 +88,7 @@ class ComplexDefining:
     def reality_witness(self) -> tuple | None:
         """``verify_reality``, checked on first use."""
         composed = self.theta.substitute({"wb": theta_bar(self.theta)})
-        w = TruncSeries.variable("w", ("z", "zb", "w"), composed.order)
+        w = TruncSeries.variable("w", REALITY_VARS, composed.order)
         return (composed - w).lowest_term()
 
     @staticmethod
@@ -114,7 +116,7 @@ def theta_bar(theta: TruncSeries) -> TruncSeries:
     coefficients with the first two argument slots swapped and the last one
     renamed, so the composed reality identity lives in ``(z, zb, w)``.
     """
-    return theta.conjugate({"z": "zb", "zb": "z", "wb": "w"}).reorder(("z", "zb", "w"))
+    return theta.conjugate({"z": "zb", "zb": "z", "wb": "w"}).reorder(REALITY_VARS)
 
 
 def verify_reality(d: ComplexDefining):

@@ -21,6 +21,7 @@ from .parsing import parse_series
 from .rational import GaussRat, frozen
 from .series import TruncSeries
 from .solve import implicit_solve
+from .transfer import XAB
 
 HEISENBERG = "-wb + z*zb"
 
@@ -162,11 +163,8 @@ def section5_pair(seed: int, order: int = 6):
     """A seeded ``(Q, T)`` pair for the expanded third-order regression:
     the deterministic cores plus random degree <= 3 noise."""
     rng = random.Random(seed)
-    vars_ = ("x", "a", "b")
-    q = parse_series(SECTION5_Q_CORE, vars_, order) + random_series(
-        rng, vars_, 3, order, keep=0.3, min_degree=2
+    q = parse_series(SECTION5_Q_CORE, XAB, order) + random_series(
+        rng, XAB, 3, order, keep=0.3, min_degree=2
     )
-    t = parse_series(SECTION5_T_CORE, vars_, order) + random_series(
-        rng, vars_, 3, order, keep=0.3
-    )
+    t = parse_series(SECTION5_T_CORE, XAB, order) + random_series(rng, XAB, 3, order, keep=0.3)
     return q, t

@@ -1,7 +1,6 @@
 """Differential invariants and the sphericality verdict.
 
-Three independent routes to the same obstruction are implemented and
-cross-checked:
+Three independent routes reach the same obstruction:
 
 * the fourth-order closed formula ``aj4`` written directly in partial
   derivatives of the defining function, against the transferred
@@ -15,11 +14,16 @@ cross-checked:
   (``selftest.rigid_invariant``).
 
 Vanishing of any of them (equivalently all of them) to the achieved
-order is the sphericality verdict at that order.  The verdict runs in
-stages, each with its report: reality, then Levi form, ``aj4`` and
-``aj6``.  ``rigid-check`` runs the Hermitian check of ``Xi`` and then the
-same stages on ``-wb + Xi``: the seven-term formula is the route of
-``self-test`` and the tests, not of a verdict.
+order is the sphericality verdict at that order.  A ``check`` or
+``rigid-check`` verdict compares only the first pair, and raises
+``InternalCheckError`` when they differ: the two steps that take ``aj4``
+to ``aj6`` (``s = 3, 5`` below) have no second route there, and the
+transferred ``I1`` and the seven-term formula are compared only by
+``self-test`` and the tests.
+
+The verdict runs in stages, each with its report: reality, then Levi
+form, ``aj4`` and ``aj6``.  ``rigid-check`` runs the Hermitian check of
+``Xi`` and then the same stages on ``-wb + Xi``.
 
 The closed formula is a quadratic form in ``(Theta_zb, Theta_wb)``, its
 coefficients sums of jets times three determinants (``_aj4_direct``).
@@ -102,7 +106,7 @@ def ode_invariants(m: SolutionManifold, order: int) -> InvariantPair:
     return m.kept(f"tresse@{order}", lambda: tresse_invariants(m.ode(order)))
 
 
-def _aj4_direct(theta: TruncSeries) -> TruncSeries:
+def _aj4_direct(m: SolutionManifold) -> TruncSeries:
     """The numerator ``N = delta^3 aj4`` of the fourth-order closed formula,
     transcribed in Theta-partials as a quadratic form in ``(t_zb, t_wb)``::
 
@@ -112,9 +116,12 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     with ``a1 = t_zzzb t_wb - t_zzwb t_zb``, ``a2 = t_zzzb t_zwb - t_zzwb
     t_zzb``, ``delta = t_zb t_zwb - t_wb t_zzb`` and the jet rows ``J_1 =
     (t_zwbwb, t_wbwb, t_zzwbwb)``, ``J_2 = (t_zzbwb, t_zbwb, t_zzzbwb)`` and
-    ``J_3 = (t_zzbzb, t_zbzb, t_zzzbzb)``.  It is written out here, not read
-    from the solution manifold, so the ``aj4`` cross-check compares two
-    independent transcriptions.
+    ``J_3 = (t_zzbzb, t_zbzb, t_zzzbzb)``, on the solution manifold
+    ``y = Theta`` of ``m``.  The formula is transcribed here, and reads
+    neither ``m.delta()`` nor any other determinant of ``m``; only its 15
+    jets come from the manifold's cache, as words over the roles ``x, a,
+    b = z, zb, wb``.  The two sides of the ``aj4`` cross-check share
+    derivatives and nothing else, so they stay independent transcriptions.
 
     Each sum of products is one ``dot`` below the known order ``K`` of the
     fourth-order jets.  Each factor is formed after the series it
@@ -128,24 +135,12 @@ def _aj4_direct(theta: TruncSeries) -> TruncSeries:
     with every operand cut to ``K``.  For a Theta linear in ``wb``,
     ``c1 = 0`` and ``t_zb^2`` is cut to nothing.
     """
-    t = theta
-    t_z = t.derive("z")
-    t_zb = t.derive("zb")
-    t_wb = t.derive("wb")
-    t_zzb = t_z.derive("zb")
-    t_zwb = t_z.derive("wb")
-    t_zbzb = t_zb.derive("zb")
-    t_zbwb = t_zb.derive("wb")
-    t_wbwb = t_wb.derive("wb")
-    t_zz = t_z.derive("z")
-    t_zzzb = t_zz.derive("zb")
-    t_zzwb = t_zz.derive("wb")
-    t_zzbzb = t_zzb.derive("zb")
-    t_zzbwb = t_zzb.derive("wb")
-    t_zwbwb = t_zwb.derive("wb")
-    t_zzzbzb = t_zzzb.derive("zb")
-    t_zzzbwb = t_zzzb.derive("wb")
-    t_zzwbwb = t_zzwb.derive("wb")
+    d = m.d
+    t_zb, t_wb, t_zzb, t_zwb = d("a"), d("b"), d("xa"), d("xb")
+    t_zbzb, t_zbwb, t_wbwb = d("aa"), d("ab"), d("bb")
+    t_zzzb, t_zzwb = d("xxa"), d("xxb")
+    t_zzbzb, t_zzbwb, t_zwbwb = d("xaa"), d("xab"), d("xbb")
+    t_zzzbzb, t_zzzbwb, t_zzwbwb = d("xxaa"), d("xxab"), d("xxbb")
     order = t_zzzbzb.order
 
     def cut(*partners):
@@ -200,7 +195,7 @@ def _cleared_aj4(d: ComplexDefining) -> tuple:
         raise DegenerateError("Levi form vanishes at the origin")
 
     def cross_checked():
-        num = _aj4_direct(d.theta)
+        num = _aj4_direct(m)
         qa, qb, delta = m.d("a"), m.d("b"), m.delta()
         p = TruncSeries.dot(*_l0(qa, qb, m.d("xx")))
         order = p.derive(m.q.vars[1]).order

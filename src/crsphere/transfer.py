@@ -35,16 +35,14 @@ class SolutionManifold:
         if not q.constant_term().is_zero():
             raise NotSolvableError("the graphing function must vanish at the origin")
         self.q = q
-        self._cache = {}
+        self._cache = {"": q}
 
-    # derivative shorthand: key is a word over {x, a, b}, e.g. "xab"
     def d(self, key: str) -> TruncSeries:
+        """The partial of ``Q`` named by a word over ``{x, a, b}``, e.g.
+        ``"xab"``: derived once, from the kept word one letter shorter."""
         key = "".join(sorted(key))
         if key not in self._cache:
-            s = self.q
-            for ch in key:
-                s = s.derive(self.q.vars["xab".index(ch)])
-            self._cache[key] = s
+            self._cache[key] = self.d(key[:-1]).derive(self.q.vars["xab".index(key[-1])])
         return self._cache[key]
 
     def kept(self, key: str, make):

@@ -181,7 +181,7 @@ def test_internal_check_failure_exit_two(capsys, monkeypatch):
 def test_aj4_disagreement_exit_two(capsys, monkeypatch):
     direct = inv._aj4_direct
     monkeypatch.setattr(
-        inv, "_aj4_direct", lambda theta: direct(theta) + TruncSeries.one(theta.vars, theta.order)
+        inv, "_aj4_direct", lambda m: direct(m) + TruncSeries.one(m.q.vars, m.q.order)
     )
     # ``rigid-check`` runs the same cross-checked verdict on ``-wb + Xi``
     for argv in (["check", "--theta", "-wb + z*zb"], ["rigid-check", "--xi", "z*zb"]):
@@ -272,13 +272,32 @@ def test_vars_other_than_the_input_space_is_one_error_report(tmp_path, job, wron
 
 def test_job_file_order_error_names_file_key_and_value(tmp_path):
     job = tmp_path / "job.txt"
-    job.write_text('theta = "-wb + z*zb"\norder = abc\n')
-    proc = run_cli(["check", "--input", str(job)], timeout=30)
-    assert proc.returncode == 1
-    out = json.loads(proc.stdout)  # exactly one document
-    assert out["verdict"] == "error"
-    assert out["message"] == f"{job}: order = 'abc' is not an integer"
-    assert proc.stderr == ""
+    # an order is ASCII digits: ``int`` would read the Arabic-Indic ``10``
+    for value in ("abc", "\u0661\u0660"):
+        job.write_text(f'theta = "-wb + z*zb"\norder = {value}\n', encoding="utf-8")
+        proc = run_cli(["check", "--input", str(job)], timeout=30)
+        assert proc.returncode == 1
+        out = json.loads(proc.stdout)  # exactly one document
+        assert out["verdict"] == "error"
+        assert out["message"] == f"{job}: order = {value!r} is not an integer"
+        assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "job",
+    ['order = 8\ntheta = "-wb + z*zb + z^2*zb^2"\n', "theta = -wb + z*zb\norder = 9\n"],
+    ids=["order-first", "theta-first"],
+)
+def test_job_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, job):
+    # a byte-order mark is not part of the first key
+    reports = []
+    for name, bom in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(bom + job.encode("utf-8"))
+        code = main(["check", "--input", str(path)])
+        reports.append((code, capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and json.loads(reports[0][1])["verdict"] != "error"
 
 
 def test_output_file_written_atomically(tmp_path, capsys):
@@ -336,6 +355,8 @@ def test_env_order_cap(capsys, monkeypatch):
     [
         ("3", "CRS_MAX_ORDER='3' caps order 8 below the minimum 7 for 'check'"),
         ("abc", "CRS_MAX_ORDER='abc' is not an integer"),
+        # not ASCII, so not a cap of 8; the report escapes the digit
+        ("\u0668", "CRS_MAX_ORDER='\\u0668' is not an integer"),
     ],
 )
 def test_env_order_cap_errors_name_the_variable(cap, message):
@@ -582,6 +603,13 @@ def test_usage_error_exit_one():
         (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
         (["check", "--theta=-wb + z*zb", "--bogus"], "unrecognized arguments: --bogus"),
         (["check", "--theta=-wb + z*zb", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        # an order is ASCII digits: ``int`` would read both as 12
+        (["check", "--theta=-wb + z*zb", "--order", "\u0661\u0662"],
+         "argument --order: invalid int value: '\u0661\u0662'"),
+        (["check", "--theta=-wb + z*zb", "--order", "1_2"],
+         "argument --order: invalid int value: '1_2'"),
+        # no ``--json``: output is compact unless ``--pretty``
+        (["check", "--theta=-wb + z*zb", "--json"], "unrecognized arguments: --json"),
     ],
 )
 def test_argument_error_is_one_error_report(argv, message):
@@ -670,7 +698,7 @@ def test_a_job_detects_rigidity_only_for_to_complex(capsys, monkeypatch):
     detect, direct = dm.detect_rigid, inv._aj4_direct
     for module in (dm, cli):
         monkeypatch.setattr(module, "detect_rigid", lambda theta: rigid.append(1) or detect(theta))
-    monkeypatch.setattr(inv, "_aj4_direct", lambda theta: direct_calls.append(1) or direct(theta))
+    monkeypatch.setattr(inv, "_aj4_direct", lambda m: direct_calls.append(1) or direct(m))
     assert main(["check", "--theta", "-wb + z*zb + z^2*zb^2", "--order", "10"]) == 0
     assert (len(rigid), len(direct_calls)) == (0, 1)
     for phi, want in (("x^2 + y^2", True), (DENSE_PHI, False)):
@@ -683,7 +711,7 @@ def test_a_job_detects_rigidity_only_for_to_complex(capsys, monkeypatch):
 def test_invariants_payload(capsys, monkeypatch):
     direct_calls = []
     direct = inv._aj4_direct
-    monkeypatch.setattr(inv, "_aj4_direct", lambda theta: direct_calls.append(1) or direct(theta))
+    monkeypatch.setattr(inv, "_aj4_direct", lambda m: direct_calls.append(1) or direct(m))
     code = main(["invariants", "--theta", "-wb + z*zb + z^2*zb^2", "--order", "10"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0

@@ -142,7 +142,8 @@ def _image(order):
 
 def _direct_over_delta3(theta):
     """``_aj4_direct`` gives the numerator over ``delta^3``; divide it out."""
-    return inv._aj4_direct(theta).div(SolutionManifold(theta).delta().pow(3))
+    m = SolutionManifold(theta)
+    return inv._aj4_direct(m).div(m.delta().pow(3))
 
 
 def test_factored_aj4_matches_unfactored_transcription():
@@ -180,7 +181,7 @@ def test_factored_aj4_matches_unfactored_on_random_theta(levi, extra, order):
 def test_aj4_cross_check_detects_a_changed_term(monkeypatch):
     direct = inv._aj4_direct
     monkeypatch.setattr(
-        inv, "_aj4_direct", lambda theta: direct(theta) + TruncSeries.one(theta.vars, theta.order)
+        inv, "_aj4_direct", lambda m: direct(m) + TruncSeries.one(m.q.vars, m.q.order)
     )
     with pytest.raises(InternalCheckError):
         aj4(_image(10))
@@ -224,8 +225,9 @@ def test_verdict_multiply_count(monkeypatch):
 # series built in one order-12 verdict on ``_image(12)`` (constructor and
 # ``_make`` both counted): 134 while each product of a sum was a series of its
 # own, copied again by the sum and its operands by ``truncate``, 60 since each
-# sum of products is one ``dot``
-VERDICT_SERIES = 60
+# sum of products is one ``dot``, 52 since the closed formula reads its jets
+# from the solution manifold, which derives each once
+VERDICT_SERIES = 52
 
 
 def test_verdict_series_count(monkeypatch):
@@ -238,6 +240,51 @@ def test_verdict_series_count(monkeypatch):
     report = sphericality_verdict(d)
     assert report.verdict == "spherical-to-order"
     assert len(built) <= VERDICT_SERIES
+
+
+# derivatives taken in one order-12 verdict on ``_image(12)``: 36 while the
+# closed formula derived its own jets of Theta and the manifold derived each
+# word from ``Q`` one letter at a time, 28 since the manifold derives each
+# word once, from the kept word one letter shorter, and the closed formula
+# reads its jets there
+VERDICT_DERIVES = 28
+
+
+def test_verdict_derive_count(monkeypatch):
+    d = ComplexDefining.from_theta(_image(12).theta)
+    calls = []
+    derive = TruncSeries.derive
+    monkeypatch.setattr(TruncSeries, "derive", lambda f, var: calls.append(1) or derive(f, var))
+    report = sphericality_verdict(d)
+    assert report.verdict == "spherical-to-order"
+    assert len(calls) <= VERDICT_DERIVES
+
+
+# the roles of the variables of Theta on its solution manifold ``y = Theta``
+ROLES = {"x": "z", "a": "zb", "b": "wb"}
+
+
+@pytest.mark.parametrize("which", ["dense", "refute"])
+def test_closed_formula_jets_are_theta_derived_by_name(monkeypatch, which):
+    if which == "dense":
+        theta = _dense_theta(12)
+    else:
+        theta = parse_series(check_theta(random.Random(7), True, 12), THETA_VARS, 12)
+    m = SolutionManifold(theta)
+    calls = []
+    derive = TruncSeries.derive
+    monkeypatch.setattr(TruncSeries, "derive", lambda f, var: calls.append(1) or derive(f, var))
+    inv._aj4_direct(m)
+    monkeypatch.undo()
+    # on a new manifold, one derivative for each word, all of them read
+    words = [key for key in m._cache if key]
+    assert len(words) == len(calls) == 15
+    for word in words:
+        named = theta
+        for letter in word:
+            named = named.derive(ROLES[letter])
+        # ``==`` compares the terms and the known order
+        assert m.d(word) == named
 
 
 # ``GaussRat`` values built in one order-12 verdict on ``_image(12)``: 2,411
@@ -328,7 +375,7 @@ def test_closed_formula_multiply_pairs(monkeypatch):
     pairs = _count_products(
         monkeypatch, lambda f, g, order: _terms_below(f, order) * _terms_below(g, order)
     )
-    inv._aj4_direct(theta)
+    inv._aj4_direct(SolutionManifold(theta))
     assert sum(pairs) <= CLOSED_FORMULA_PAIRS
 
 
@@ -377,7 +424,8 @@ CLOSED_FORMULA_MUTANTS = 42
 def test_each_closed_formula_factor_mutant_fails_the_cross_check(monkeypatch):
     # the dense Theta is not linear in ``wb``, so it reaches every term
     theta = _dense_theta(12)
-    assert _recompiled(_direct_tree())(theta) == inv._aj4_direct(theta)
+    direct = inv._aj4_direct(SolutionManifold(theta))
+    assert _recompiled(_direct_tree())(SolutionManifold(theta)) == direct
     mutants = list(_closed_formula_mutants())
     assert len(mutants) == CLOSED_FORMULA_MUTANTS
     survivors = []
@@ -408,7 +456,7 @@ def test_quadratic_form_matches_shared_squares_on_random_theta(levi, wb2, extra,
     terms = {**extra, (0, 0, 1): GaussRat.of(-1), (1, 1, 0): levi, (0, 0, 2): wb2}
     theta = TruncSeries(THETA_VARS, terms, order)
     # ``==`` compares the terms and the known order
-    assert inv._aj4_direct(theta) == reference_direct_numerator(theta)[0]
+    assert inv._aj4_direct(SolutionManifold(theta)) == reference_direct_numerator(theta)[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -470,7 +518,7 @@ def _assert_matches_product_bodies(theta):
     d = ComplexDefining.from_theta(theta)
     direct, num, op, m5, obstruction = reference_cleared_chain(ComplexDefining.from_theta(theta))
     # ``==`` compares the variables, the known order, ``_den`` and ``_num``
-    assert inv._aj4_direct(theta) == direct
+    assert inv._aj4_direct(SolutionManifold(theta)) == direct
     assert inv._cleared_aj4(d) == (num, op)
     assert inv._step(op, num, 3) == m5
     assert aj6(d) == obstruction
